@@ -25,7 +25,7 @@ from typing import Optional
 
 from .convergents import partial_sum
 from .enclosure import enclose
-from .errors import SeriesCertError
+from .errors import InvalidParameterError, SeriesCertError
 from .measure import PolynomialInt, brute_force_min, enumerate_brackets, verify_measure
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
@@ -41,9 +41,11 @@ from .serialize import (
     certificate_obj,
     decimal_digits,
     evidence_obj,
+    fraction_to_str,
     int_to_str,
     parse_rational,
     rational_from_obj,
+    require_key,
     spec_from_obj,
 )
 from .witness import certify
@@ -195,9 +197,16 @@ def _run_revalidate(config: RunConfig) -> int:
     with open(config.revalidate) as handle:
         original = handle.read()
     obj = json.loads(original)
-    spec = spec_from_obj(obj["spec"])
-    alpha = rational_from_obj(obj["alpha"], "alpha")
-    indices = [w["m"] for w in obj["witnesses"]]
+    if not isinstance(obj, dict):
+        raise InvalidParameterError("certificate must be a JSON object")
+    spec = spec_from_obj(require_key(obj, "spec", "certificate"))
+    alpha = rational_from_obj(require_key(obj, "alpha", "certificate"), "alpha")
+    witnesses = require_key(obj, "witnesses", "certificate")
+    if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
+        raise InvalidParameterError("certificate witnesses must be a list of objects")
+    indices = [require_key(w, "m", "witness") for w in witnesses]
+    if not all(type(m) is int for m in indices):
+        raise InvalidParameterError("witness m must be a JSON integer")
     if not indices:
         raise SeriesCertError("certificate has no witnesses to revalidate")
     cert = certify(spec, alpha, min(indices), max(indices), config.digit_budget)
@@ -245,7 +254,7 @@ def _run_search(config: RunConfig) -> int:
         for vec, low, high in enumerate_brackets(
             spec, config.degree, config.height, enc, config.enum_cap
         ):
-            writer.writerow(list(vec) + [str(low), str(high)])
+            writer.writerow(list(vec) + [fraction_to_str(low), fraction_to_str(high)])
         with open(config.csv_path, "w") as handle:
             handle.write(buffer.getvalue())
     result = brute_force_min(spec, config.degree, config.height, enc, config.enum_cap)

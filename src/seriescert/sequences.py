@@ -39,8 +39,6 @@ from .errors import (
 #: Exceeding the cap raises DigitBudgetError; results are never truncated.
 DEFAULT_DIGIT_BUDGET = 10**6
 
-_LOG10_2 = math.log10(2)
-
 
 class Ordering(IntEnum):
     """Result of an exact three-way comparison."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -33,36 +33,160 @@ from .sequences import (
     Subseries,
 )
 
-_LOG10_2 = 0.30102999566398119
+# Below these sizes the builtin conversions are used. CPython refuses
+# str(int) and int(str) beyond sys.get_int_max_str_digits() decimal digits,
+# which can be set as low as 640 but never lower, so no setting of the limit
+# makes a builtin call here raise. On CPython 3.11 the divide-and-conquer
+# int->str is 4.5x slower than str() at 2,000 bits and only overtakes it
+# near 48,000 bits, so the cut-over is as high as that floor allows; for
+# str->int the two are within 1.5x of each other from 300 digits up.
+_INT_TO_STR_CUTOVER_BITS = 2048  # 2**2048 < 10**617
+_STR_TO_INT_CUTOVER_CHARS = 640
+
+# int(text, 10) accepts this grammar once other Unicode digits and
+# whitespace have been mapped to ASCII (see _int_ascii_form).
+_INT_SYNTAX = re.compile(r"[ \t\n\v\f\r]*([+-]?)([0-9]+(?:_[0-9]+)*)[ \t\n\v\f\r]*")
 
 
 def int_to_str(value: int) -> str:
-    """Decimal string of an arbitrary-size integer.
+    """Decimal string of an arbitrary-size integer, equal to ``str(value)``.
 
-    CPython caps int->str conversions by default; the cap is raised on
-    demand so budget-scale integers serialize instead of raising.
+    Large values go through a divide-and-conquer conversion (port of
+    CPython 3.12's ``_pylong.int_to_decimal_string``, gh-90716), which is
+    subquadratic and is not subject to the interpreter's digit limit.
     """
-    needed = int(abs(value).bit_length() * _LOG10_2) + 3
-    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < needed:
-        sys.set_int_max_str_digits(needed)
-    return str(value)
+    if value.bit_length() <= _INT_TO_STR_CUTOVER_BITS:
+        return str(value)
+    import decimal
+
+    D = decimal.Decimal
+    D2 = D(2)
+    BITLIM = 128
+    mem = {}
+
+    def w2pow(w):
+        """D(2)**w, memoized together with the powers it was built from."""
+        if (result := mem.get(w)) is None:
+            if w <= BITLIM:
+                result = D2**w
+            elif w - 1 in mem:
+                result = (t := mem[w - 1]) + t
+            else:
+                w2 = w >> 1
+                # recurse on the smaller half first, so the larger one can
+                # take the cheap ``w - 1 in mem`` branch
+                result = w2pow(w2) * w2pow(w - w2)
+            mem[w] = result
+        return result
+
+    def inner(n, w):
+        if w <= BITLIM:
+            return D(n)
+        w2 = w >> 1
+        hi = n >> w2
+        lo = n - (hi << w2)
+        return inner(lo, w2) + inner(hi, w - w2) * w2pow(w2)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.Emin = decimal.MIN_EMIN
+        ctx.traps[decimal.Inexact] = 1
+        magnitude = abs(value)
+        text = str(inner(magnitude, magnitude.bit_length()))
+    return "-" + text if value < 0 else text
+
+
+def _int_ascii_form(text: str) -> str:
+    """The ASCII text that int() parses in place of ``text``: Unicode
+    decimal digits become ASCII digits and Unicode whitespace a space;
+    any other non-ASCII character ends the text with an invalid one."""
+    if text.isascii():
+        return text
+    out = []
+    for ch in text:
+        if ch < "\x7f":
+            out.append(ch)
+        elif ch.isspace():
+            out.append(" ")
+        elif ch.isdecimal():
+            out.append(str(int(ch)))
+        else:
+            out.append("?")
+            break
+    return "".join(out)
+
+
+def _digits_to_int(digits: str) -> int:
+    """Value of a string of ASCII digits (port of CPython 3.12's
+    ``_pylong._str_to_int_inner``, gh-90716): split in halves, combine
+    with one multiplication by a memoized power of 5 and a shift."""
+    DIGLIM = 2048
+    mem = {}
+
+    def w5pow(w):
+        """5**w, memoized together with the powers it was built from."""
+        if (result := mem.get(w)) is None:
+            if w <= DIGLIM:
+                result = 5**w
+            elif w - 1 in mem:
+                result = mem[w - 1] * 5
+            else:
+                w2 = w >> 1
+                result = w5pow(w2) * w5pow(w - w2)
+            mem[w] = result
+        return result
+
+    def inner(a, b):
+        if b - a <= DIGLIM:
+            return int(digits[a:b])
+        mid = (a + b + 1) >> 1
+        return inner(mid, b) + ((inner(a, mid) * w5pow(b - mid)) << (b - mid))
+
+    return inner(0, len(digits))
 
 
 def str_to_int(text: str, name: str = "integer") -> int:
+    """Parse a decimal integer, accepting exactly what ``int(text, 10)``
+    accepts but with no limit on the number of digits."""
     if not isinstance(text, str):
         raise InvalidParameterError(f"{name} must be a decimal string, got {text!r}")
-    needed = len(text) + 3
-    if hasattr(sys, "get_int_max_str_digits") and sys.get_int_max_str_digits() < needed:
-        sys.set_int_max_str_digits(needed)
-    try:
-        return int(text, 10)
-    except ValueError as exc:
-        raise InvalidParameterError(f"{name} is not a decimal string: {text!r}") from exc
+    if len(text) <= _STR_TO_INT_CUTOVER_CHARS:
+        try:
+            return int(text, 10)
+        except ValueError as exc:
+            raise InvalidParameterError(f"{name} is not a decimal string: {text!r}") from exc
+    match = _INT_SYNTAX.fullmatch(_int_ascii_form(text))
+    if match is None:
+        raise InvalidParameterError(f"{name} is not a decimal string: {text[:40]!r}...")
+    sign, digits = match.groups()
+    value = _digits_to_int(digits.replace("_", ""))
+    return -value if sign == "-" else value
+
+
+# floor(log10(2) * 2**128)
+_LOG10_2_Q128 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+
+
+def _floor_log10_2(n: int) -> int | None:
+    """floor(n * log10(2)) for n >= 0, or None when the 128-bit constant
+    cannot decide it (n * log10(2) within n * 2**-128 of an integer)."""
+    low = n * _LOG10_2_Q128 >> 128
+    return low if low == n * (_LOG10_2_Q128 + 1) >> 128 else None
 
 
 def decimal_digits(value: int) -> int:
-    """Exact count of decimal digits of ``abs(value)``."""
-    return len(int_to_str(abs(value)))
+    """Exact count of decimal digits of ``abs(value)``, without building
+    its decimal string."""
+    value = abs(value)
+    bits = value.bit_length() or 1
+    # 2**(bits-1) <= value < 2**bits holds at most one power of ten
+    low, high = _floor_log10_2(bits - 1), _floor_log10_2(bits)
+    if low is None or high is None:
+        return len(int_to_str(value))
+    if low == high:
+        return low + 1
+    return high + (value >= 10**high)
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -70,8 +194,12 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-def canonical_bytes(obj: Any) -> bytes:
-    return canonical_dumps(obj).encode("ascii")
+def require_key(obj: dict, key: str, name: str) -> Any:
+    """``obj[key]``, or InvalidParameterError naming the missing key."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise InvalidParameterError(f"{name} is missing the key {key!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +211,20 @@ def rational_obj(value: Fraction) -> dict:
     return {"num": int_to_str(value.numerator), "den": int_to_str(value.denominator)}
 
 
+def fraction_to_str(value: Fraction) -> str:
+    """``str(value)`` ("p/q", or "p" for an integer) for any size."""
+    if value.denominator == 1:
+        return int_to_str(value.numerator)
+    return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
+
+
 def rational_from_obj(obj: Any, name: str = "rational") -> Fraction:
-    if not isinstance(obj, dict) or set(obj) != {"num", "den"}:
+    if not isinstance(obj, dict):
         raise InvalidParameterError(f"{name} must be an object with num/den strings")
-    num = str_to_int(obj["num"], f"{name}.num")
-    den = str_to_int(obj["den"], f"{name}.den")
+    num = str_to_int(require_key(obj, "num", name), f"{name}.num")
+    den = str_to_int(require_key(obj, "den", name), f"{name}.den")
+    if set(obj) != {"num", "den"}:
+        raise InvalidParameterError(f"{name} must be an object with only num/den strings")
     if den <= 0:
         raise InvalidParameterError(f"{name} denominator must be positive")
     return Fraction(num, den)
@@ -116,9 +253,13 @@ def _index_map_from_obj(obj: Any) -> IndexMap:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidParameterError("index map must be an object with a 'kind'")
     if obj["kind"] == "affine":
-        return Affine(s=str_to_int(obj["s"], "s"), t=str_to_int(obj["t"], "t"))
+        return Affine(
+            s=str_to_int(require_key(obj, "s", "index map"), "s"),
+            t=str_to_int(require_key(obj, "t", "index map"), "t"),
+        )
     if obj["kind"] == "explicit":
-        return ExplicitIndices(tuple(str_to_int(i, "index") for i in obj["indices"]))
+        indices = require_key(obj, "indices", "index map")
+        return ExplicitIndices(tuple(str_to_int(i, "index") for i in indices))
     raise InvalidParameterError(f"unknown index map kind {obj['kind']!r}")
 
 
@@ -162,25 +303,25 @@ def spec_from_obj(obj: Any) -> SequenceSpec:
     family = obj["family"]
     if family == "power":
         return PowerRecurrence(
-            a1=str_to_int(obj["a1"], "a1"),
-            e=str_to_int(obj["e"], "e"),
+            a1=str_to_int(require_key(obj, "a1", "spec"), "a1"),
+            e=str_to_int(require_key(obj, "e", "spec"), "e"),
             start_offset=offset,
         )
     if family == "factorialExp":
         return FactorialExponent(
-            base=str_to_int(obj["base"], "base"),
+            base=str_to_int(require_key(obj, "base", "spec"), "base"),
             offset=str_to_int(obj.get("offset", "0"), "offset"),
             start_offset=offset,
         )
     if family == "explicit":
         return Explicit(
-            terms=tuple(str_to_int(t, "term") for t in obj["terms"]),
+            terms=tuple(str_to_int(t, "term") for t in require_key(obj, "terms", "spec")),
             start_offset=offset,
         )
     if family == "subseries":
         return Subseries(
-            inner=spec_from_obj(obj["inner"]),
-            index_map=_index_map_from_obj(obj["indexMap"]),
+            inner=spec_from_obj(require_key(obj, "inner", "spec")),
+            index_map=_index_map_from_obj(require_key(obj, "indexMap", "spec")),
             start_offset=offset,
         )
     raise InvalidParameterError(f"unknown sequence family {family!r}")
@@ -196,10 +337,6 @@ def spec_fingerprint(spec: SequenceSpec) -> str:
 # Artifacts (duck-typed: the encoders read attributes, so this module does
 # not need to import the modules that define the artifact types)
 # ---------------------------------------------------------------------------
-
-
-def convergent_obj(conv) -> dict:
-    return {"m": conv.m, "p": int_to_str(conv.p), "q": int_to_str(conv.q)}
 
 
 def enclosure_obj(enc) -> dict:
@@ -235,14 +372,6 @@ def certificate_obj(cert) -> dict:
 
 def polynomial_obj(poly) -> dict:
     return {"coeffs": [int_to_str(c) for c in poly.coeffs]}
-
-
-def polynomial_from_obj(obj: Any):
-    from .measure import PolynomialInt
-
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise InvalidParameterError("polynomial must be an object with 'coeffs'")
-    return PolynomialInt(tuple(str_to_int(c, "coefficient") for c in obj["coeffs"]))
 
 
 def measure_bound_obj(b) -> dict:

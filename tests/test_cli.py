@@ -1,6 +1,9 @@
 import csv
+import hashlib
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -170,3 +173,113 @@ def test_digit_budget_flag(p4_path, capsys):
     code = main(["term", "--spec", p4_path, "--n", "9", "--digit-budget", "1000"])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "digit-budget-exceeded"
+
+
+# a1 = 2^512, e = 4: the tail bound 2/a_6 has about 158k decimal digits
+P512_OBJ = {"family": "power", "a1": str(2**512), "e": "4"}
+# SHA-256 of `certify --alpha 5/2 --from 1 --to 5` on P512_OBJ, recorded
+# before decimal encoding moved off the builtin str()
+P512_CERT_SHA256 = "e72688854106b9608a85bfe6201a5c1483a693eb088d17a4429726a01876bd0a"
+# SHA-256 of the search --csv rows below, as str(Fraction) spells them
+P512_SEARCH_CSV_SHA256 = "ba63fb8bce0e0e7873d63c6a12416d924bbc2d8e77363be720ae2e16b1a1e0d3"
+
+
+def test_certify_golden_bytes(tmp_path):
+    spec = tmp_path / "p512.json"
+    spec.write_text(json.dumps(P512_OBJ))
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--spec", str(spec), "--alpha", "5/2", "--from", "1",
+                 "--to", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == P512_CERT_SHA256
+
+
+def test_search_csv_with_brackets_past_the_digit_limit(tmp_path, fresh_interpreter_env):
+    spec = tmp_path / "p512.json"
+    spec.write_text(json.dumps(P512_OBJ))
+    rows, report = tmp_path / "rows.csv", tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "seriescert.cli", "search", "--spec", str(spec),
+         "--degree", "2", "--height", "1", "--terms", "3", "--digit-budget", "10000000",
+         "--csv", str(rows), "--out", str(report)],
+        capture_output=True, text=True, env=fresh_interpreter_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    data = rows.read_bytes()
+    assert max(len(cell) for cell in data.split(b",")) > 4300
+    assert hashlib.sha256(data).hexdigest() == P512_SEARCH_CSV_SHA256
+
+
+def _power(**extra):
+    return {"family": "power", "a1": "2", "e": "4", **extra}
+
+
+MISSING_KEY_SPECS = [
+    ({"family": "power", "e": "2"}, "a1"),
+    ({"family": "power", "a1": "2"}, "e"),
+    ({"family": "factorialExp", "offset": "1"}, "base"),
+    ({"family": "explicit"}, "terms"),
+    ({"family": "subseries", "indexMap": {"kind": "affine", "s": "1", "t": "0"}}, "inner"),
+    ({"family": "subseries", "inner": _power()}, "indexMap"),
+    ({"family": "subseries", "inner": _power(), "indexMap": {"kind": "affine", "s": "2"}}, "t"),
+    ({"family": "subseries", "inner": _power(), "indexMap": {"kind": "affine", "t": "0"}}, "s"),
+    ({"family": "subseries", "inner": _power(), "indexMap": {"kind": "explicit"}}, "indices"),
+]
+
+
+def _assert_names_missing_key(code, err, key):
+    assert code == 2
+    payload = json.loads(err)  # exactly one JSON object
+    assert payload["error"] == "invalid-parameter"
+    assert repr(key) in payload["message"]
+
+
+@pytest.mark.parametrize("obj,key", MISSING_KEY_SPECS, ids=[k for _, k in MISSING_KEY_SPECS])
+def test_spec_missing_key_is_reported(obj, key, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    code = main(["term", "--spec", str(path), "--n", "1"])
+    _assert_names_missing_key(code, capsys.readouterr().err, key)
+
+
+def _drop(doc, path):
+    """Delete the key at ``path`` (a list of keys and list indices)."""
+    *parents, last = path
+    for step in parents:
+        doc = doc[step]
+    del doc[last]
+
+
+@pytest.mark.parametrize("path", [
+    ["spec"], ["alpha"], ["witnesses"], ["witnesses", 0, "m"], ["alpha", "den"],
+    ["spec", "a1"],
+], ids=lambda p: ".".join(map(str, p)))
+def test_revalidate_missing_key_is_reported(path, p4_path, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--spec", p4_path, "--alpha", "5/2", "--to", "3",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    _drop(doc, path)
+    out.write_text(json.dumps(doc))
+    code = main(["certify", "--revalidate", str(out)])
+    _assert_names_missing_key(code, capsys.readouterr().err, path[-1])
+
+
+@pytest.mark.parametrize("witnesses", [{"m": 1}, [1], [{"m": "1"}], [{"m": True}]],
+                         ids=["object", "not-objects", "string-m", "bool-m"])
+def test_revalidate_malformed_witnesses_are_reported(witnesses, p4_path, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--spec", p4_path, "--alpha", "5/2", "--to", "3",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["witnesses"] = witnesses
+    out.write_text(json.dumps(doc))
+    assert main(["certify", "--revalidate", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-parameter"
+
+
+def test_revalidate_rejects_a_certificate_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    out.write_text("[]")
+    assert main(["certify", "--revalidate", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-parameter"

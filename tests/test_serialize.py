@@ -1,7 +1,13 @@
+import contextlib
 import json
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seriescert import (
     Affine,
@@ -21,7 +27,13 @@ from seriescert import (
     spec_from_obj,
     spec_obj,
 )
-from seriescert.serialize import decimal_digits, int_to_str, str_to_int
+from seriescert.serialize import (
+    _INT_TO_STR_CUTOVER_BITS,
+    _STR_TO_INT_CUTOVER_CHARS,
+    decimal_digits,
+    int_to_str,
+    str_to_int,
+)
 
 SPECS = [
     PowerRecurrence(2, 4),
@@ -124,3 +136,165 @@ def test_certificate_encoding_shape():
     }
     # the document passes through a strict JSON parser unchanged
     assert json.loads(canonical_dumps(obj)) == obj
+
+
+# ---------------------------------------------------------------------------
+# Decimal codec against the builtins
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def builtin_oracle():
+    """Lift the interpreter's int/str digit limit so str() and int() can
+    serve as oracles at any size; the limit is restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+CUT = _INT_TO_STR_CUTOVER_BITS
+CODEC_BITS = [1, 2, 63, 64, 65, 1000, CUT - 1, CUT, CUT + 1, 3 * CUT, 20_000, 100_000, 2**18]
+
+
+@pytest.mark.parametrize("bits", CODEC_BITS)
+def test_int_codec_matches_builtins(bits):
+    rng = random.Random(bits)
+    top = rng.getrandbits(bits) | 1 << (bits - 1)
+    values = [top, -top, 2 ** (bits - 1), 2**bits - 1, -(2 ** (bits - 1))]
+    for value in values:
+        with builtin_oracle():
+            expected = str(value)
+        assert int_to_str(value) == expected
+        assert str_to_int(expected) == value
+
+
+@pytest.mark.parametrize("k", [1, 2, 616, 617, 640, 641, 4300, 4301, 40_000])
+def test_int_codec_at_powers_of_ten(k):
+    assert int_to_str(10**k) == "1" + "0" * k
+    assert int_to_str(10**k - 1) == "9" * k
+    assert int_to_str(-(10**k) - 1) == "-1" + "0" * (k - 1) + "1"
+    assert str_to_int("1" + "0" * k) == 10**k
+    assert str_to_int("-" + "9" * k) == -(10**k - 1)
+
+
+def test_int_codec_at_zero():
+    assert int_to_str(0) == "0"
+    for text in ("0", "-0", "+0", "0" * 1000, "-" + "0" * 1000):
+        assert str_to_int(text) == 0
+
+
+def test_int_codec_at_two_to_the_twenty_bits():
+    rng = random.Random(20)
+    text = str(rng.randrange(1, 10)) + "".join(rng.choices("0123456789", k=315_000))
+    with builtin_oracle():
+        value = int(text)
+    assert 2**19 < value.bit_length() <= 2**20
+    assert int_to_str(value) == text
+    assert str_to_int(text) == value
+    assert int_to_str(-value) == "-" + text
+    power = 2 ** (2**20)
+    # int() inverts the canonical decimal spelling, so this pins str(power)
+    spelled = int_to_str(power)
+    assert spelled[0] != "0"
+    with builtin_oracle():
+        assert int(spelled) == power
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 16).flatmap(lambda e: st.integers(-(2 ** 2**e), 2 ** 2**e)))
+def test_int_codec_round_trip_property(value):
+    with builtin_oracle():
+        expected = str(value)
+    assert int_to_str(value) == expected
+    assert str_to_int(expected) == value
+    assert decimal_digits(value) == len(expected.lstrip("-"))
+
+
+LONG = "1234567890" * 70  # longer than the str->int cut-over
+assert len(LONG) > _STR_TO_INT_CUTOVER_CHARS
+
+SYNTAX_BODIES = ["7", "007", "1_000", "1__0", "_1", "1_", "12.5", "1e3", "\u0663\u0664",
+                 LONG, "000" + LONG, LONG.replace("0", "0_"), LONG + "_", LONG + "__1",
+                 LONG + ".5", LONG + "\x00", LONG.replace("5", "\u0665"), LONG + "x"]
+SYNTAX_AFFIXES = [("", ""), ("+", ""), ("-", ""), ("+-", ""), (" ", " "), ("\t\n", "\r\v\f"),
+                  ("\u2003", "\u3000"), ("\x1c", ""), ("", "\x1c"), ("_", ""), ("- ", "")]
+
+
+@pytest.mark.parametrize("body", SYNTAX_BODIES, ids=range(len(SYNTAX_BODIES)))
+@pytest.mark.parametrize("affix", SYNTAX_AFFIXES, ids=range(len(SYNTAX_AFFIXES)))
+def test_str_to_int_accepts_exactly_what_int_accepts(body, affix):
+    text = affix[0] + body + affix[1]
+    with builtin_oracle():
+        try:
+            expected = int(text, 10)
+        except ValueError:
+            expected = None
+    if expected is None:
+        with pytest.raises(InvalidParameterError):
+            str_to_int(text)
+    else:
+        assert str_to_int(text) == expected
+
+
+@pytest.mark.parametrize("value", [7, 12.5, None, ["1"], {"num": "1"}])
+def test_str_to_int_rejects_non_strings(value):
+    with pytest.raises(TypeError):
+        int(value, 10)
+    with pytest.raises(InvalidParameterError):
+        str_to_int(value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 10, 11, 99, 300, 616, 617, 4300, 20_000])
+def test_decimal_digits_at_powers_of_ten(k):
+    assert decimal_digits(0) == 1
+    assert decimal_digits(10**k - 1) == k
+    assert decimal_digits(10**k) == k + 1
+    assert decimal_digits(10**k + 1) == k + 1
+    assert decimal_digits(-(10**k)) == k + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 15).flatmap(lambda e: st.integers(-(2 ** 2**e), 2 ** 2**e)))
+def test_decimal_digits_matches_len_of_str(value):
+    with builtin_oracle():
+        assert decimal_digits(value) == len(str(abs(value)))
+
+
+ROUND_TRIP_SCRIPT = """
+import json, sys
+from seriescert.cli import main
+spec, cert, echo = sys.argv[1:]
+default = sys.int_info.default_max_str_digits
+assert sys.get_int_max_str_digits() == default
+codes = [
+    main(["certify", "--spec", spec, "--alpha", "5/2", "--from", "1", "--to", "5",
+          "--digit-budget", "10000000", "--out", cert]),
+    main(["certify", "--revalidate", cert, "--digit-budget", "10000000", "--out", echo]),
+]
+print(json.dumps({"codes": codes, "limit": sys.get_int_max_str_digits(), "default": default}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(sys.int_info, "default_max_str_digits"),
+                    reason="interpreter has no int/str digit limit")
+def test_big_certificate_leaves_digit_limit_alone(tmp_path, fresh_interpreter_env):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"family": "power", "a1": str(2**512), "e": "4"}))
+    cert, echo = tmp_path / "cert.json", tmp_path / "echo.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", ROUND_TRIP_SCRIPT, str(spec), str(cert), str(echo)],
+        capture_output=True, text=True, env=fresh_interpreter_env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0]
+    assert report["limit"] == report["default"]
+    tail = json.loads(cert.read_text())["witnesses"][-1]["tailBound"]
+    assert len(tail["den"]) > 10**5
+    assert json.loads(echo.read_text()) == {"revalidated": True, "witnesses": 5}

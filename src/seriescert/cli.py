@@ -5,6 +5,11 @@ denominator inequalities), certify (witness certificate JSON), measure
 (polynomial bound evidence JSON), search (exhaustive polynomial report),
 term (decimal expansion of a term or a partial sum).
 
+The commands hold no checks of their own. analyze walks the window once:
+one term stream (each a_n built once) and one run of the partial-sum
+step feed the library's per-index predicates. search reads the
+enumeration once, for its CSV rows and its minimum alike.
+
 Exit status contract: 0 all requested checks verified, 1 some check
 failed or stayed inconclusive, 2 invalid input or violated hypothesis.
 Errors are emitted to stderr as a one-object JSON document with a stable
@@ -17,23 +22,31 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .convergents import partial_sum
+from .convergents import _prefix_sums, _tail_shrink, partial_sum
 from .enclosure import enclose
 from .errors import InvalidParameterError, SeriesCertError
-from .measure import PolynomialInt, brute_force_min, enumerate_brackets, verify_measure
+from .measure import (
+    PolynomialInt,
+    _minimum,
+    _q_exponent_ok,
+    _q_growth_ok,
+    enumerate_brackets,
+    verify_measure,
+)
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Ordering,
     SequenceSpec,
-    checked_pow,
-    compare_power,
+    _lower_order,
+    _upper_holds,
+    _window,
+    one_pass,
     term,
+    term_stream,
 )
 from .serialize import (
     brute_force_obj,
@@ -47,6 +60,7 @@ from .serialize import (
     rational_from_obj,
     require_key,
     spec_from_obj,
+    str_to_int,
 )
 from .witness import certify
 
@@ -63,30 +77,6 @@ ANALYZE_COLUMNS = (
 )
 
 
-@dataclass
-class RunConfig:
-    command: str
-    spec_path: Optional[str] = None
-    alpha: Optional[str] = None
-    k: Optional[str] = None
-    degree: Optional[int] = None
-    height: Optional[int] = None
-    first: int = 1
-    last: Optional[int] = None
-    out: Optional[str] = None
-    fmt: str = "csv"
-    digit_budget: int = DEFAULT_DIGIT_BUDGET
-    enum_cap: int = 10**6
-    max_refine: int = 8
-    revalidate: Optional[str] = None
-    coeffs: Optional[str] = None
-    terms: int = 4
-    n: Optional[int] = None
-    m: Optional[int] = None
-    digits: int = 50
-    csv_path: Optional[str] = None
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w") as handle:
@@ -95,10 +85,9 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _error(exc: SeriesCertError) -> int:
-    payload = {"error": exc.code, "message": str(exc)}
+def _error(payload: dict, exit_code: int) -> int:
     sys.stderr.write(canonical_dumps(payload))
-    return exc.exit_code
+    return exit_code
 
 
 def _load_spec(path: Optional[str]) -> SequenceSpec:
@@ -108,11 +97,8 @@ def _load_spec(path: Optional[str]) -> SequenceSpec:
         return spec_from_obj(json.load(handle))
 
 
-def _passfail(flag: bool) -> str:
-    return "pass" if flag else "fail"
-
-
-def _run_analyze(config: RunConfig) -> int:
+@one_pass()
+def _run_analyze(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     if config.alpha is None:
         raise SeriesCertError("--alpha is required for analyze")
@@ -120,53 +106,31 @@ def _run_analyze(config: RunConfig) -> int:
         raise SeriesCertError("--to is required for analyze")
     alpha = parse_rational(config.alpha, "alpha")
     k = parse_rational(config.k, "k") if config.k else None
-    first, last = config.first, config.last
-    if first < 1 or last < first:
-        raise SeriesCertError(f"window {first}..{last} is empty or invalid")
+    first, last = _window(config.first, config.last)
     budget = config.digit_budget
 
+    a, s = term_stream(spec, budget), _prefix_sums(spec, budget)
     rows = []
     all_pass = True
-    total = Fraction(0)
-    product = 1
-    a_n = term(spec, 1, budget)
-    for n in range(1, last + 1):
-        a_next = term(spec, n + 1, budget)
-        total += Fraction(1, a_n)
-        q_n = total.denominator
-        product *= a_n
-        if n >= first:
-            growth = compare_power(a_next, a_n, alpha + 1, budget) is Ordering.GREATER
-            log_shrink = float(alpha) * math.log10(product) - math.log10(a_next)
-            denom_ok = q_n <= product
-            p_num, p_den = alpha.numerator, alpha.denominator
-            q_exp_ok = checked_pow(q_n, p_num, budget) <= checked_pow(
-                a_n, p_num + p_den, budget
-            )
-            flags = [growth, denom_ok, q_exp_ok]
-            row = {
-                "n": n,
-                "digits": decimal_digits(a_n),
-                "growth": _passfail(growth),
-                "sandwich_lower": "",
-                "sandwich_upper": "",
-                "log10_shrink": f"{log_shrink:.6g}",
-                "denom_bound": _passfail(denom_ok),
-                "q_exp_bound": _passfail(q_exp_ok),
-                "q_growth": "",
-            }
-            if k is not None:
-                lower = compare_power(a_next, a_n, alpha + 1, budget) is not Ordering.LESS
-                upper = compare_power(a_next, a_n, k * alpha, budget) is Ordering.LESS
-                q_next = (total + Fraction(1, a_next)).denominator
-                qg = compare_power(q_next, q_n, k * (alpha + 1), budget) is Ordering.LESS
-                row["sandwich_lower"] = _passfail(lower)
-                row["sandwich_upper"] = _passfail(upper)
-                row["q_growth"] = _passfail(qg)
-                flags += [lower, upper, qg]
-            rows.append(row)
-            all_pass = all_pass and all(flags)
-        a_n = a_next
+    for n in range(first, last + 1):
+        (conv, product), a_n, a_next = s(n), a(n), a(n + 1)
+        lower = _lower_order(a_n, a_next, alpha, budget)
+        checks = {
+            "growth": lower is Ordering.GREATER,
+            "q_exp_bound": _q_exponent_ok(conv.q, a_n, alpha, budget),
+        }
+        shrink = _tail_shrink(n, product, a_next, alpha).log10_approx
+        if k is not None:
+            checks["sandwich_lower"] = lower is not Ordering.LESS
+            checks["sandwich_upper"] = _upper_holds(a_n, a_next, alpha, k, budget)
+            checks["q_growth"] = _q_growth_ok(conv.q, s(n + 1)[0].q, alpha, k, budget)
+        row = dict.fromkeys(ANALYZE_COLUMNS, "")
+        # denom_bound passes: the sum step raises ExactnessError otherwise
+        row.update(n=n, digits=decimal_digits(a_n), log10_shrink=f"{shrink:.6g}")
+        row.update(denom_bound="pass")
+        row.update((name, "pass" if ok else "fail") for name, ok in checks.items())
+        rows.append(row)
+        all_pass = all_pass and all(checks.values())
 
     if config.fmt == "json":
         _emit(canonical_dumps(rows), config.out)
@@ -179,7 +143,7 @@ def _run_analyze(config: RunConfig) -> int:
     return 0 if all_pass else 1
 
 
-def _run_certify(config: RunConfig) -> int:
+def _run_certify(config: argparse.Namespace) -> int:
     if config.revalidate:
         return _run_revalidate(config)
     spec = _load_spec(config.spec_path)
@@ -193,7 +157,7 @@ def _run_certify(config: RunConfig) -> int:
     return 0
 
 
-def _run_revalidate(config: RunConfig) -> int:
+def _run_revalidate(config: argparse.Namespace) -> int:
     with open(config.revalidate) as handle:
         original = handle.read()
     obj = json.loads(original)
@@ -212,21 +176,19 @@ def _run_revalidate(config: RunConfig) -> int:
     cert = certify(spec, alpha, min(indices), max(indices), config.digit_budget)
     regenerated = canonical_dumps(certificate_obj(cert))
     if regenerated != original:
-        payload = {"error": "revalidation-mismatch", "path": config.revalidate}
-        sys.stderr.write(canonical_dumps(payload))
-        return 1
+        return _error({"error": "revalidation-mismatch", "path": config.revalidate}, 1)
     _emit(canonical_dumps({"revalidated": True, "witnesses": len(indices)}), config.out)
     return 0
 
 
-def _run_measure(config: RunConfig) -> int:
+def _run_measure(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     for flag, name in ((config.alpha, "--alpha"), (config.k, "--k"), (config.coeffs, "--coeffs")):
         if flag is None:
             raise SeriesCertError(f"{name} is required for measure")
     alpha = parse_rational(config.alpha, "alpha")
     k = parse_rational(config.k, "k")
-    poly = PolynomialInt(tuple(int(c) for c in config.coeffs.split(",")))
+    poly = PolynomialInt(tuple(str_to_int(c, "coefficient") for c in config.coeffs.split(",")))
     evidence = verify_measure(
         spec,
         alpha,
@@ -241,37 +203,42 @@ def _run_measure(config: RunConfig) -> int:
     return 0
 
 
-def _run_search(config: RunConfig) -> int:
+def _run_search(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     if config.degree is None or config.height is None:
         raise SeriesCertError("--degree and --height are required for search")
     enc = enclose(spec, config.terms, config.digit_budget)
+    brackets = enumerate_brackets(spec, config.degree, config.height, enc, config.enum_cap)
     if config.csv_path:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
         header = [f"e{i}" for i in range(config.degree + 1)]
         writer.writerow(header + ["abs_lower", "abs_upper"])
-        for vec, low, high in enumerate_brackets(
-            spec, config.degree, config.height, enc, config.enum_cap
-        ):
-            writer.writerow(list(vec) + [fraction_to_str(low), fraction_to_str(high)])
+        brackets = _written(brackets, writer)
+    result = _minimum(brackets)
+    if config.csv_path:
         with open(config.csv_path, "w") as handle:
             handle.write(buffer.getvalue())
-    result = brute_force_min(spec, config.degree, config.height, enc, config.enum_cap)
     _emit(canonical_dumps(brute_force_obj(result)), config.out)
     return 0
 
 
+def _written(brackets, writer):
+    """The brackets, each written as a CSV row as it passes."""
+    for vec, low, high in brackets:
+        writer.writerow(list(vec) + [fraction_to_str(low), fraction_to_str(high)])
+        yield vec, low, high
+
+
 def _decimal_expansion(value: Fraction, places: int) -> str:
     whole, rem = divmod(value.numerator, value.denominator)
-    if places <= 0 or rem == 0:
-        head = int_to_str(whole)
-        return head if places <= 0 else head + "." + "0" * places
+    if places <= 0:
+        return int_to_str(whole)
     scaled = rem * 10**places // value.denominator
     return int_to_str(whole) + "." + int_to_str(scaled).rjust(places, "0")
 
 
-def _run_term(config: RunConfig) -> int:
+def _run_term(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     if (config.n is None) == (config.m is None):
         raise SeriesCertError("term needs exactly one of --n or --m")
@@ -292,16 +259,20 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one command, mapping every failure to the exit contract."""
     try:
+        if config.digit_budget < 1:
+            raise InvalidParameterError(
+                f"--digit-budget must be a positive integer, got {config.digit_budget}"
+            )
         return _HANDLERS[config.command](config)
     except SeriesCertError as exc:
-        return _error(exc)
+        # plus the failing index a HypothesisFailedError (index) or a
+        # WitnessFailedError (m) carries
+        return _error({"error": exc.code, "message": str(exc), **vars(exc)}, exc.exit_code)
     except (OSError, ValueError) as exc:
-        payload = {"error": "invalid-input", "message": str(exc)}
-        sys.stderr.write(canonical_dumps(payload))
-        return 2
+        return _error({"error": "invalid-input", "message": str(exc)}, 2)
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -363,31 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f: getattr(args, f) for f in RunConfig.__dataclass_fields__ if hasattr(args, f)}
-    return RunConfig(**fields)
-
-
 def _normalize(argv: list[str]) -> list[str]:
     """Glue values onto --coeffs so a leading minus sign is not mistaken
     for an option (argparse only special-cases bare negative numbers)."""
-    out = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--coeffs" and i + 1 < len(argv):
-            out.append(f"--coeffs={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(argv[i])
-            i += 1
+    out, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg == "--coeffs" else None
+        out.append(arg if value is None else f"--coeffs={value}")
     return out
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser().parse_args(_normalize(argv))
-    return run(config_from_args(args))
+    return run(build_parser().parse_args(_normalize(argv)))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,15 @@
 """Reduced partial sums of the series and the tail-shrink quantity.
 
 The m-th convergent here is the plain partial sum p/q = sum of 1/a_n for
-n up to m, reduced to lowest terms. Every constructed convergent is
-checked against the product bound q <= a_1 a_2 ... a_m; a violation
-would mean the arithmetic itself is broken, so it raises ExactnessError
-rather than returning a flag.
+n up to m, reduced to lowest terms. Partial sums come from one step,
+:func:`_add_term`, applied along the term stream (``term_stream``, which
+builds each a_n once): p_m/q_m and the product a_1 a_2 ... a_m, plus
+a_{m+1}, give p_{m+1}/q_{m+1} and a_1 ... a_{m+1}. Every step checks that
+the sum is reduced and that q <= a_1 a_2 ... a_m; a violation would mean
+the arithmetic itself is broken, so it raises ExactnessError rather than
+returning a flag. A partial sum reads no term past its own index, and
+inside one pass (``one_pass``) each partial sum is built once and
+extended from there.
 
 The shrink factor b_n = (a_1 a_2 ... a_n)^alpha / a_{n+1} is held as the
 exact pair (product, next term) plus the exponent. It is never realized
@@ -17,16 +22,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from .errors import ExactnessError, InvalidParameterError, NotFoundInWindowError
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     SequenceSpec,
     _as_positive_fraction,
+    _pass_memo,
     _window,
     checked_pow,
-    term,
+    one_pass,
+    term_stream,
 )
 
 
@@ -58,15 +65,51 @@ class TailShrink:
     log10_approx: float
 
 
-def _checked_convergent(m: int, total: Fraction, product: int) -> Convergent:
-    p, q = total.numerator, total.denominator
-    if math.gcd(p, q) != 1:
+def _add_term(conv: Convergent, product: int, a: int) -> tuple[Convergent, int]:
+    """The sum step: p/q + 1/a in lowest terms, and the product times a.
+
+    p/q is reduced, so only the common factor of q and a can cancel
+    (Henrici's addition, as in Fraction).
+    """
+    g = math.gcd(conv.q, a)
+    s = conv.q // g
+    t = conv.p * (a // g) + s
+    g2 = math.gcd(t, g)
+    m, p, q, product = conv.m + 1, t // g2, s * (a // g2), product * a
+    # gcd(p, q) == 1 decided on the odd parts, so that a power-of-two q
+    # (every series with a_1 = 2^k) needs no gcd
+    odd_p, odd_q = p >> (p & -p).bit_length() - 1, q >> (q & -q).bit_length() - 1
+    if not (p | q) & 1 or math.gcd(odd_p, odd_q) != 1:
         raise ExactnessError(f"partial sum at m={m} is not reduced: {p}/{q}")
     if q > product:
         raise ExactnessError(
             f"denominator bound violated at m={m}: q={q} exceeds term product"
         )
-    return Convergent(m=m, p=p, q=q)
+    return Convergent(m=m, p=p, q=q), product
+
+
+def _prefix_sums(
+    spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> Callable[[int], tuple[Convergent, int]]:
+    """m -> (p_m/q_m, a_1...a_m), each built once, by one sum step from
+    the one before."""
+    a = term_stream(spec, digit_budget)
+    built = _pass_memo(("sums", spec, digit_budget), lambda: [(Convergent(m=0, p=0, q=1), 1)])
+
+    def s(m: int) -> tuple[Convergent, int]:
+        while len(built) <= m:
+            conv, product = built[-1]
+            built.append(_add_term(conv, product, a(len(built))))
+        return built[m]
+
+    return s
+
+
+def _tail_shrink(n: int, product: int, next_term: int, alpha: Fraction) -> TailShrink:
+    log10_approx = float(alpha) * math.log10(product) - math.log10(next_term)
+    return TailShrink(
+        n=n, product=product, next_term=next_term, alpha=alpha, log10_approx=log10_approx
+    )
 
 
 def convergent_range(
@@ -75,13 +118,9 @@ def convergent_range(
     """Yield the convergents for m = 1..last, computed incrementally."""
     if last < 1:
         raise InvalidParameterError(f"range end must be >= 1, got {last}")
-    total = Fraction(0)
-    product = 1
+    s = _prefix_sums(spec, digit_budget)
     for m in range(1, last + 1):
-        a = term(spec, m, digit_budget)
-        total += Fraction(1, a)
-        product *= a
-        yield _checked_convergent(m, total, product)
+        yield s(m)[0]
 
 
 def partial_sum(
@@ -90,12 +129,7 @@ def partial_sum(
     """Exact reduced partial sum over terms 1..m (m = 0 gives 0/1)."""
     if m < 0:
         raise InvalidParameterError(f"partial sum index must be >= 0, got {m}")
-    if m == 0:
-        return Convergent(m=0, p=0, q=1)
-    result = None
-    for result in convergent_range(spec, m, digit_budget):
-        pass
-    return result
+    return _prefix_sums(spec, digit_budget)(m)[0]
 
 
 def denominator_bound_holds(
@@ -104,13 +138,8 @@ def denominator_bound_holds(
     """Exact check q_m <= a_1 a_2 ... a_m."""
     if m < 1:
         raise InvalidParameterError(f"index must be >= 1, got {m}")
-    total = Fraction(0)
-    product = 1
-    for n in range(1, m + 1):
-        a = term(spec, n, digit_budget)
-        total += Fraction(1, a)
-        product *= a
-    return total.denominator <= product
+    conv, product = _prefix_sums(spec, digit_budget)(m)
+    return conv.q <= product
 
 
 def shrink_factor(
@@ -123,14 +152,8 @@ def shrink_factor(
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {n}")
     alpha = _as_positive_fraction(alpha, "alpha")
-    product = 1
-    for i in range(1, n + 1):
-        product *= term(spec, i, digit_budget)
-    next_term = term(spec, n + 1, digit_budget)
-    log10_approx = float(alpha) * math.log10(product) - math.log10(next_term)
-    return TailShrink(
-        n=n, product=product, next_term=next_term, alpha=alpha, log10_approx=log10_approx
-    )
+    a = term_stream(spec, digit_budget)
+    return _tail_shrink(n, math.prod(a(i) for i in range(1, n + 1)), a(n + 1), alpha)
 
 
 def shrink_less_than(
@@ -174,6 +197,7 @@ def shrink_decreases(
     return lhs < rhs
 
 
+@one_pass()
 def effective_start(
     spec: SequenceSpec,
     alpha: Union[Fraction, int, str],
@@ -193,18 +217,8 @@ def effective_start(
     theta_upper = _as_positive_fraction(theta_upper, "theta_upper")
     first, last = _window(first, last)
     threshold = 1 / (1 + theta_upper)
-    product = 1
-    for i in range(1, first):
-        product *= term(spec, i, digit_budget)
     for m in range(first, last + 1):
-        product *= term(spec, m, digit_budget)
-        next_term = term(spec, m + 1, digit_budget)
-        log10_approx = float(alpha) * math.log10(product) - math.log10(next_term)
-        ts = TailShrink(
-            n=m, product=product, next_term=next_term, alpha=alpha,
-            log10_approx=log10_approx,
-        )
-        if shrink_less_than(ts, threshold, digit_budget):
+        if shrink_less_than(shrink_factor(spec, alpha, m, digit_budget), threshold, digit_budget):
             return m
     raise NotFoundInWindowError(
         f"no index in {first}..{last} brings the shrink factor below 1/(1+theta)"

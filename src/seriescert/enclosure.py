@@ -18,12 +18,11 @@ from .errors import ExactnessError, InvalidParameterError, NoTailGuaranteeError,
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Affine,
-    Explicit,
     FactorialExponent,
     PowerRecurrence,
     SequenceSpec,
     Subseries,
-    term,
+    term_stream,
 )
 from .serialize import spec_fingerprint
 
@@ -63,8 +62,6 @@ def has_tail_guarantee(spec: SequenceSpec) -> bool:
         return spec.a1 >= 2 and spec.e >= 2
     if isinstance(spec, FactorialExponent):
         return spec.base >= 2
-    if isinstance(spec, Explicit):
-        return False
     if isinstance(spec, Subseries):
         return isinstance(spec.index_map, Affine) and has_tail_guarantee(spec.inner)
     return False
@@ -80,18 +77,27 @@ def tail_bound(
         raise NoTailGuaranteeError(
             "sequence family offers no doubling guarantee beyond its known terms"
         )
-    return Fraction(2, term(spec, m + 1, digit_budget))
+    return Fraction(2, term_stream(spec, digit_budget)(m + 1))
+
+
+def _enclosure(spec: SequenceSpec, m: int, digit_budget: int, fingerprint: str) -> Enclosure:
+    tail = tail_bound(spec, m, digit_budget)
+    lo = partial_sum(spec, m, digit_budget).value
+    return Enclosure(lo=lo, hi=lo + tail, terms_used=m, fingerprint=fingerprint)
+
+
+def _nested(enc: Enclosure, better: Enclosure) -> Enclosure:
+    """better, once checked to be strictly narrower and nested in enc."""
+    if not (enc.lo <= better.lo and better.hi <= enc.hi and better.width < enc.width):
+        raise ExactnessError("refined enclosure failed to nest")
+    return better
 
 
 def enclose(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
     """Enclosure from the first m terms plus the certified tail."""
-    bound = tail_bound(spec, m, digit_budget)
-    lo = partial_sum(spec, m, digit_budget).value
-    return Enclosure(
-        lo=lo, hi=lo + bound, terms_used=m, fingerprint=spec_fingerprint(spec)
-    )
+    return _enclosure(spec, m, digit_budget, spec_fingerprint(spec))
 
 
 def refine(
@@ -100,7 +106,4 @@ def refine(
     """One more term: a strictly narrower enclosure nested in enc."""
     if enc.fingerprint != spec_fingerprint(spec):
         raise SpecMismatchError("enclosure was built from a different sequence")
-    better = enclose(spec, enc.terms_used + 1, digit_budget)
-    if not (enc.lo <= better.lo and better.hi <= enc.hi and better.width < enc.width):
-        raise ExactnessError("refined enclosure failed to nest")
-    return better
+    return _nested(enc, enclose(spec, enc.terms_used + 1, digit_budget))

@@ -23,13 +23,12 @@ no polynomial in the class beats the bound.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
-from .convergents import convergent_range, partial_sum
-from .enclosure import Enclosure, enclose, refine, tail_bound
+from .convergents import _prefix_sums, convergent_range, partial_sum
+from .enclosure import Enclosure, _enclosure, _nested, tail_bound
 from .errors import (
     EnumerationTooLargeError,
     InconclusiveError,
@@ -42,10 +41,11 @@ from .sequences import (
     Ordering,
     SequenceSpec,
     _as_positive_fraction,
-    check_sandwich,
+    _window_report,
     checked_pow,
     compare_power,
-    term,
+    one_pass,
+    term_stream,
 )
 from .serialize import spec_fingerprint
 
@@ -96,19 +96,6 @@ class PolynomialInt:
             acc_hi = max(products) + c
         return acc_lo, acc_hi
 
-    def __str__(self) -> str:
-        parts = []
-        for power, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if power == 0:
-                parts.append(str(c))
-            elif power == 1:
-                parts.append(f"{c}*x")
-            else:
-                parts.append(f"{c}*x^{power}")
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class MeasureBound:
@@ -121,32 +108,23 @@ class MeasureBound:
     base: int
     exponent: Fraction
 
-    @property
-    def log10_value(self) -> float:
-        """Advisory float of log10 of the bound, for display only."""
-        return -float(self.exponent) * math.log10(self.base)
+    def _versus(self, value: Fraction, digit_budget: int) -> Ordering:
+        """value against base^(-exponent), exactly; a value <= 0 is LESS."""
+        if value <= 0:
+            return Ordering.LESS
+        p, s = self.exponent.numerator, self.exponent.denominator
+        lhs = checked_pow(value.numerator, s, digit_budget)
+        lhs *= checked_pow(self.base, p, digit_budget)
+        rhs = checked_pow(value.denominator, s, digit_budget)
+        return Ordering((lhs > rhs) - (lhs < rhs))
 
-    def is_exceeded_by(
-        self, value: Fraction, digit_budget: int = DEFAULT_DIGIT_BUDGET
-    ) -> bool:
+    def is_exceeded_by(self, value: Fraction, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> bool:
         """Exact check value > base^(-exponent)."""
-        if value <= 0:
-            return False
-        p, s = self.exponent.numerator, self.exponent.denominator
-        u, v = value.numerator, value.denominator
-        lhs = checked_pow(u, s, digit_budget) * checked_pow(self.base, p, digit_budget)
-        return lhs > checked_pow(v, s, digit_budget)
+        return self._versus(value, digit_budget) is Ordering.GREATER
 
-    def greater_than(
-        self, value: Fraction, digit_budget: int = DEFAULT_DIGIT_BUDGET
-    ) -> bool:
+    def greater_than(self, value: Fraction, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> bool:
         """Exact check base^(-exponent) > value."""
-        if value <= 0:
-            return True
-        p, s = self.exponent.numerator, self.exponent.denominator
-        u, v = value.numerator, value.denominator
-        rhs = checked_pow(u, s, digit_budget) * checked_pow(self.base, p, digit_budget)
-        return checked_pow(v, s, digit_budget) > rhs
+        return self._versus(value, digit_budget) is Ordering.LESS
 
 
 @dataclass(frozen=True)
@@ -176,6 +154,13 @@ class BruteForceResult:
     count: int
 
 
+def _check_class(d: int, H: int, min_degree: int) -> None:
+    if d < min_degree:
+        raise InvalidParameterError(f"degree must be at least {min_degree}, got {d}")
+    if H < 1:
+        raise InvalidParameterError(f"height must be at least 1, got {H}")
+
+
 def bound(
     d: int,
     H: int,
@@ -185,10 +170,7 @@ def bound(
     """Symbolic measure bound (H*d*(d+1))^(-k*d*(alpha+1)/(alpha-d))."""
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_positive_fraction(k, "k")
-    if d < 2:
-        raise InvalidParameterError(f"degree must be at least 2, got {d}")
-    if H < 1:
-        raise InvalidParameterError(f"height must be at least 1, got {H}")
+    _check_class(d, H, 2)
     if alpha <= d:
         raise InvalidParameterError(
             f"exponent alpha={alpha} must exceed the degree {d}"
@@ -205,23 +187,33 @@ def bound(
     )
 
 
+def _q_exponent_ok(q_n: int, a_n: int, alpha: Fraction, digit_budget: int) -> bool:
+    """q_n <= a_n^((alpha+1)/alpha), cleared with alpha = p/s to
+    q_n^p <= a_n^(p+s)."""
+    p, s = alpha.numerator, alpha.denominator
+    return checked_pow(q_n, p, digit_budget) <= checked_pow(a_n, p + s, digit_budget)
+
+
+def _q_growth_ok(
+    q_n: int, q_next: int, alpha: Fraction, k: Fraction, digit_budget: int
+) -> bool:
+    """q_{n+1} < q_n^(k*(alpha+1))."""
+    return compare_power(q_next, q_n, k * (alpha + 1), digit_budget) is Ordering.LESS
+
+
+@one_pass()
 def qn_exponent_bound_holds(
     spec: SequenceSpec,
     alpha: Union[Fraction, int, str],
     n: int,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> bool:
-    """Exact check q_n <= a_n^((alpha+1)/alpha).
-
-    With alpha = p/s the comparison clears to q_n^p <= a_n^(p+s).
-    """
+    """Exact check q_n <= a_n^((alpha+1)/alpha)."""
     alpha = _as_positive_fraction(alpha, "alpha")
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {n}")
     q = partial_sum(spec, n, digit_budget).q
-    a = term(spec, n, digit_budget)
-    p, s = alpha.numerator, alpha.denominator
-    return checked_pow(q, p, digit_budget) <= checked_pow(a, p + s, digit_budget)
+    return _q_exponent_ok(q, term_stream(spec, digit_budget)(n), alpha, digit_budget)
 
 
 def q_growth_holds(
@@ -238,11 +230,8 @@ def q_growth_holds(
         raise InvalidParameterError(f"k must be > 1, got {k}")
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {n}")
-    q_n = q_next = None
-    for conv in convergent_range(spec, n + 1, digit_budget):
-        q_n, q_next = q_next, conv.q
-    exponent = k * (alpha + 1)
-    return compare_power(q_next, q_n, exponent, digit_budget) is Ordering.LESS
+    s = _prefix_sums(spec, digit_budget)
+    return _q_growth_ok(s(n)[0].q, s(n + 1)[0].q, alpha, k, digit_budget)
 
 
 def find_n1(
@@ -259,10 +248,7 @@ def find_n1(
     needs is strict.
     """
     alpha = _as_positive_fraction(alpha, "alpha")
-    if d < 1:
-        raise InvalidParameterError(f"degree must be at least 1, got {d}")
-    if H < 1:
-        raise InvalidParameterError(f"height must be at least 1, got {H}")
+    _check_class(d, H, 1)
     if n_max < 1:
         raise InvalidParameterError(f"search cutoff must be >= 1, got {n_max}")
     if alpha <= d:
@@ -298,17 +284,18 @@ def _require_sandwich(
     spec: SequenceSpec,
     alpha: Fraction,
     k: Fraction,
+    first: int,
     last: int,
     digit_budget: int,
 ) -> None:
-    report = check_sandwich(spec, alpha, k, 1, last, digit_budget)
-    failures = report.failures()
+    failures = _window_report(spec, alpha, k, first, last, digit_budget).failures()
     if failures:
         raise InvalidParameterError(
             f"sandwich hypothesis violated at n={failures[0]}"
         )
 
 
+@one_pass()
 def verify_measure(
     spec: SequenceSpec,
     alpha: Union[Fraction, int, str],
@@ -330,6 +317,10 @@ def verify_measure(
 
     The outcome is either verified evidence or an exception; a sound
     refinement procedure cannot conclude that the bound fails.
+
+    Each refinement adds one term to the enclosure and checks the
+    sandwich at one more index; within the call each term and each
+    partial sum is built once.
     """
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_positive_fraction(k, "k")
@@ -350,9 +341,10 @@ def verify_measure(
     m0 = 1
     while not target.greater_than(4 * tail_bound(spec, m0, digit_budget), digit_budget):
         m0 += 1
-    _require_sandwich(spec, alpha, k, m0 + 1, digit_budget)
+    _require_sandwich(spec, alpha, k, 1, m0 + 1, digit_budget)
 
-    enc = enclose(spec, m0, digit_budget)
+    fingerprint = spec_fingerprint(spec)
+    enc = _enclosure(spec, m0, digit_budget, fingerprint)
     refinements = 0
     while True:
         low = abs_lower_bound(P, enc)
@@ -369,9 +361,10 @@ def verify_measure(
             raise InconclusiveError(
                 f"comparison still undecided after {refinements} refinements"
             )
-        enc = refine(spec, enc, digit_budget)
+        m = enc.terms_used + 1
+        enc = _nested(enc, _enclosure(spec, m, digit_budget, fingerprint))
         refinements += 1
-        _require_sandwich(spec, alpha, k, enc.terms_used + 1, digit_budget)
+        _require_sandwich(spec, alpha, k, m + 1, m + 1, digit_budget)
 
 
 def enumerate_brackets(
@@ -384,10 +377,7 @@ def enumerate_brackets(
     """Yield (coefficient vector, |P| lower, |P| upper) for every nonzero
     polynomial with degree <= d and height <= H, in ascending
     lexicographic order of the vector (constant coefficient first)."""
-    if d < 1:
-        raise InvalidParameterError(f"degree must be at least 1, got {d}")
-    if H < 1:
-        raise InvalidParameterError(f"height must be at least 1, got {H}")
+    _check_class(d, H, 1)
     if spec_fingerprint(spec) != enc.fingerprint:
         raise SpecMismatchError("enclosure was built from a different sequence")
     size = (2 * H + 1) ** (d + 1) - 1
@@ -400,6 +390,25 @@ def enumerate_brackets(
             continue
         low, high = abs_bracket(PolynomialInt(vec), enc)
         yield vec, low, high
+
+
+def _minimum(
+    brackets: Iterable[tuple[tuple[int, ...], Fraction, Fraction]]
+) -> BruteForceResult:
+    """Fold (vector, |P| lower, |P| upper) rows into the minimum upper
+    bracket, the first one on a tie."""
+    best: Optional[tuple[tuple[int, ...], Fraction, Fraction]] = None
+    count = 0
+    for vec, low, high in brackets:
+        count += 1
+        if best is None or high < best[2]:
+            best = (vec, low, high)
+    return BruteForceResult(
+        argmin=PolynomialInt(best[0]),
+        min_lower=best[1],
+        min_upper=best[2],
+        count=count,
+    )
 
 
 def brute_force_min(
@@ -415,15 +424,4 @@ def brute_force_min(
     the ascending enumeration provides for free: the first minimum seen
     wins.
     """
-    best: Optional[tuple[tuple[int, ...], Fraction, Fraction]] = None
-    count = 0
-    for vec, low, high in enumerate_brackets(spec, d, H, enc, enumeration_cap):
-        count += 1
-        if best is None or high < best[2]:
-            best = (vec, low, high)
-    return BruteForceResult(
-        argmin=PolynomialInt(best[0]),
-        min_lower=best[1],
-        min_upper=best[2],
-        count=count,
-    )
+    return _minimum(enumerate_brackets(spec, d, H, enc, enumeration_cap))

@@ -18,15 +18,22 @@ certification layer.
 All comparisons with fractional exponents are decided exactly: x vs
 y**(p/s) is resolved by comparing the integers x**s and y**p.  Nothing
 in this module ever rounds.
+
+Checks read terms through a term stream (:func:`term_stream`), which
+builds each a_n once, on first use.  Inside :func:`one_pass` all streams
+of one spec share their terms, so a public helper called by another
+reads the terms its caller has already built.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .errors import (
     DigitBudgetError,
@@ -55,6 +62,13 @@ def _as_positive_fraction(value: Union[Fraction, int, str], name: str) -> Fracti
     return f
 
 
+def _decimal(value: int) -> str:
+    """``str(value)`` at any size, for error messages."""
+    from .serialize import int_to_str  # serialize imports this module
+
+    return int_to_str(value)
+
+
 def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
     """``base**exp`` with an a-priori size check against the digit budget.
 
@@ -71,8 +85,8 @@ def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
     est_digits = exp * base.bit_length() * 30103 // 100000 + 1
     if est_digits > digit_budget:
         raise DigitBudgetError(
-            f"{base.bit_length()}-bit base raised to {exp} needs about "
-            f"{est_digits} decimal digits; budget is {digit_budget}"
+            f"{base.bit_length()}-bit base raised to {_decimal(exp)} needs about "
+            f"{_decimal(est_digits)} decimal digits; budget is {digit_budget}"
         )
     return base**exp
 
@@ -203,34 +217,77 @@ def term(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
     if n < 1:
         raise InvalidParameterError(f"term index must be >= 1, got {n}")
     i = n + spec.start_offset - 1
+    # a_i = b**E with b >= 2 has over 3 * budget digits once E > limit;
+    # E >= 2**(i-1) rules out i >= limit.bit_length() + 1 before E is built
+    limit = 10 * digit_budget
     match spec:
+        case PowerRecurrence(a1=1):
+            return 1
         case PowerRecurrence(a1=a1, e=e):
-            # a_i = a1**(e**(i-1)).  Reject indices whose exponent alone
-            # dwarfs the budget before materializing e**(i-1).
-            if a1 > 1 and (i - 1) * math.log10(e) > math.log10(digit_budget) + 1:
+            if i - 1 >= limit.bit_length() or e ** (i - 1) > limit:
                 raise DigitBudgetError(
-                    f"term {i} of the power recurrence exceeds the "
+                    f"term {_decimal(i)} of the power recurrence exceeds the "
                     f"{digit_budget}-digit budget"
                 )
             return checked_pow(a1, e ** (i - 1), digit_budget)
         case FactorialExponent(base=base, offset=offset):
-            # log10(i!) = lgamma(i+1)/ln(10); cheap pre-check before the
-            # factorial itself is built.
-            if math.lgamma(i + 1) / math.log(10) > math.log10(digit_budget) + 1:
+            if i - 1 >= limit.bit_length() or math.factorial(i) > limit:
                 raise DigitBudgetError(
-                    f"term {i} of the factorial-exponent family exceeds the "
+                    f"term {_decimal(i)} of the factorial-exponent family exceeds the "
                     f"{digit_budget}-digit budget"
                 )
             return checked_pow(base, math.factorial(i) + offset, digit_budget)
         case Explicit(terms=terms):
             if i > len(terms):
                 raise IndexOutOfRangeError(
-                    f"explicit sequence has {len(terms)} terms, asked for index {i}"
+                    f"explicit sequence has {len(terms)} terms, asked for index {_decimal(i)}"
                 )
             return terms[i - 1]
         case Subseries(inner=inner, index_map=index_map):
             return term(inner, index_map.apply(i), digit_budget)
     raise TypeError(f"not a sequence spec: {spec!r}")
+
+
+# What the open pass has built, by key; see one_pass.
+_PASS: ContextVar[Optional[dict]] = ContextVar("seriescert_pass", default=None)
+
+
+@contextmanager
+def one_pass():
+    """Within the block (as ``@one_pass()``: one public call) the terms and
+    partial sums of a spec are each built once, whichever helper asks for
+    them; an inner pass joins the outer."""
+    token = _PASS.set({}) if _PASS.get() is None else None
+    try:
+        yield
+    finally:
+        if token is not None:
+            _PASS.reset(token)
+
+
+def _pass_memo(key: tuple, make: Callable[[], object]):
+    """What the open pass keeps under key (made on first use); outside a
+    pass, a fresh one."""
+    open_pass = _PASS.get()
+    if open_pass is None:
+        return make()
+    if key not in open_pass:
+        open_pass[key] = make()
+    return open_pass[key]
+
+
+def term_stream(
+    spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> Callable[[int], int]:
+    """The terms of spec as a function n -> a_n that builds each term once."""
+    built = _pass_memo(("terms", spec, digit_budget), dict)
+
+    def a(n: int) -> int:
+        if n not in built:
+            built[n] = term(spec, n, digit_budget)
+        return built[n]
+
+    return a
 
 
 def compare_power(
@@ -249,11 +306,7 @@ def compare_power(
     e = _as_positive_fraction(e, "exponent")
     lhs = checked_pow(x, e.denominator, digit_budget)
     rhs = checked_pow(y, e.numerator, digit_budget)
-    if lhs < rhs:
-        return Ordering.LESS
-    if lhs > rhs:
-        return Ordering.GREATER
-    return Ordering.EQUAL
+    return Ordering((lhs > rhs) - (lhs < rhs))
 
 
 @dataclass(frozen=True)
@@ -291,18 +344,43 @@ def _window(first: int, last: int) -> tuple[int, int]:
     return (first, last)
 
 
-def _report(
+def _lower_order(a_n: int, a_next: int, alpha: Fraction, digit_budget: int) -> Ordering:
+    """a_{n+1} against a_n**(alpha+1): GREATER is the growth hypothesis at
+    n, anything but LESS the lower half of the sandwich."""
+    return compare_power(a_next, a_n, alpha + 1, digit_budget)
+
+
+def _upper_holds(
+    a_n: int, a_next: int, alpha: Fraction, k: Fraction, digit_budget: int
+) -> bool:
+    """a_{n+1} < a_n**(k*alpha), the upper half of the sandwich."""
+    return compare_power(a_next, a_n, k * alpha, digit_budget) is Ordering.LESS
+
+
+def _window_report(
+    spec: SequenceSpec,
     alpha: Fraction,
     k: Optional[Fraction],
-    window: tuple[int, int],
-    checks: list[GrowthCheck],
+    first: int,
+    last: int,
+    digit_budget: int,
 ) -> GrowthReport:
+    """Growth checks (k is None) or sandwich checks at first..last."""
+    a = term_stream(spec, digit_budget)
+    checks = []
+    for n in range(first, last + 1):
+        lower = _lower_order(a(n), a(n + 1), alpha, digit_budget)
+        if k is None:
+            checks.append(GrowthCheck(n, lower is Ordering.GREATER))
+        else:
+            upper = _upper_holds(a(n), a(n + 1), alpha, k, digit_budget)
+            checks.append(GrowthCheck(n, lower is not Ordering.LESS, upper))
     first_from: Optional[int] = None
     for check in reversed(checks):
         if not check.all_hold():
             break
         first_from = check.n
-    return GrowthReport(alpha, k, window, tuple(checks), first_from)
+    return GrowthReport(alpha, k, (first, last), tuple(checks), first_from)
 
 
 def check_growth(
@@ -314,16 +392,8 @@ def check_growth(
 ) -> GrowthReport:
     """Check a_{n+1} > a_n**(alpha+1) (strict) for every n in first..last."""
     alpha = _as_positive_fraction(alpha, "alpha")
-    window = _window(first, last)
-    exponent = alpha + 1
-    checks = []
-    a_n = term(spec, first, digit_budget)
-    for n in range(first, last + 1):
-        a_next = term(spec, n + 1, digit_budget)
-        holds = compare_power(a_next, a_n, exponent, digit_budget) is Ordering.GREATER
-        checks.append(GrowthCheck(n, holds))
-        a_n = a_next
-    return _report(alpha, None, window, checks)
+    first, last = _window(first, last)
+    return _window_report(spec, alpha, None, first, last, digit_budget)
 
 
 def check_sandwich(
@@ -343,18 +413,8 @@ def check_sandwich(
     k = _as_positive_fraction(k, "k")
     if k <= 1:
         raise InvalidParameterError(f"k must be > 1, got {k}")
-    window = _window(first, last)
-    lower_exp = alpha + 1
-    upper_exp = k * alpha
-    checks = []
-    a_n = term(spec, first, digit_budget)
-    for n in range(first, last + 1):
-        a_next = term(spec, n + 1, digit_budget)
-        lower = compare_power(a_next, a_n, lower_exp, digit_budget) is not Ordering.LESS
-        upper = compare_power(a_next, a_n, upper_exp, digit_budget) is Ordering.LESS
-        checks.append(GrowthCheck(n, lower, upper))
-        a_n = a_next
-    return _report(alpha, k, window, checks)
+    first, last = _window(first, last)
+    return _window_report(spec, alpha, k, first, last, digit_budget)
 
 
 def subseries(spec: SequenceSpec, index_map: IndexMap) -> Subseries:

@@ -43,9 +43,9 @@ from .sequences import (
 _INT_TO_STR_CUTOVER_BITS = 2048  # 2**2048 < 10**617
 _STR_TO_INT_CUTOVER_CHARS = 640
 
-# int(text, 10) accepts this grammar once other Unicode digits and
-# whitespace have been mapped to ASCII (see _int_ascii_form).
-_INT_SYNTAX = re.compile(r"[ \t\n\v\f\r]*([+-]?)([0-9]+(?:_[0-9]+)*)[ \t\n\v\f\r]*")
+# int(text, 10) accepts this grammar: \d and \s are Unicode-aware as in
+# int(), which strips all whitespace but \x1c-\x1f.
+_INT_SYNTAX = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 
 
 def int_to_str(value: int) -> str:
@@ -97,28 +97,8 @@ def int_to_str(value: int) -> str:
     return "-" + text if value < 0 else text
 
 
-def _int_ascii_form(text: str) -> str:
-    """The ASCII text that int() parses in place of ``text``: Unicode
-    decimal digits become ASCII digits and Unicode whitespace a space;
-    any other non-ASCII character ends the text with an invalid one."""
-    if text.isascii():
-        return text
-    out = []
-    for ch in text:
-        if ch < "\x7f":
-            out.append(ch)
-        elif ch.isspace():
-            out.append(" ")
-        elif ch.isdecimal():
-            out.append(str(int(ch)))
-        else:
-            out.append("?")
-            break
-    return "".join(out)
-
-
 def _digits_to_int(digits: str) -> int:
-    """Value of a string of ASCII digits (port of CPython 3.12's
+    """Value of a string of decimal digits (port of CPython 3.12's
     ``_pylong._str_to_int_inner``, gh-90716): split in halves, combine
     with one multiplication by a memoized power of 5 and a shift."""
     DIGLIM = 2048
@@ -156,7 +136,7 @@ def str_to_int(text: str, name: str = "integer") -> int:
             return int(text, 10)
         except ValueError as exc:
             raise InvalidParameterError(f"{name} is not a decimal string: {text!r}") from exc
-    match = _INT_SYNTAX.fullmatch(_int_ascii_form(text))
+    match = _INT_SYNTAX.fullmatch(text)
     if match is None:
         raise InvalidParameterError(f"{name} is not a decimal string: {text[:40]!r}...")
     sign, digits = match.groups()
@@ -230,10 +210,20 @@ def rational_from_obj(obj: Any, name: str = "rational") -> Fraction:
     return Fraction(num, den)
 
 
+# the integer and p/q forms of Fraction(text); digit groups with
+# underscores are left to Fraction, which accepts them from Python 3.11
+_RATIONAL_SYNTAX = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+
+
 def parse_rational(text: str, name: str = "rational") -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction."""
+    """Parse "p/q" or "p" into an exact Fraction, with no limit on the
+    digits; every other form Fraction() accepts ("0.25", "1e3") too."""
+    match = _RATIONAL_SYNTAX.fullmatch(text)
     try:
-        return Fraction(text)
+        if match is None:
+            return Fraction(text)
+        num, den = match.groups()
+        return Fraction(str_to_int(num, name), str_to_int(den or "1", name))
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameterError(f"cannot parse {name} from {text!r}") from exc
 
@@ -264,34 +254,20 @@ def _index_map_from_obj(obj: Any) -> IndexMap:
 
 
 def spec_obj(spec: SequenceSpec) -> dict:
-    if isinstance(spec, PowerRecurrence):
-        return {
-            "family": "power",
-            "a1": int_to_str(spec.a1),
-            "e": int_to_str(spec.e),
-            "startOffset": spec.start_offset,
-        }
-    if isinstance(spec, FactorialExponent):
-        return {
-            "family": "factorialExp",
-            "base": int_to_str(spec.base),
-            "offset": int_to_str(spec.offset),
-            "startOffset": spec.start_offset,
-        }
-    if isinstance(spec, Explicit):
-        return {
-            "family": "explicit",
-            "terms": [int_to_str(t) for t in spec.terms],
-            "startOffset": spec.start_offset,
-        }
-    if isinstance(spec, Subseries):
-        return {
-            "family": "subseries",
-            "inner": spec_obj(spec.inner),
-            "indexMap": _index_map_obj(spec.index_map),
-            "startOffset": spec.start_offset,
-        }
-    raise InvalidParameterError(f"not a sequence spec: {spec!r}")
+    match spec:
+        case PowerRecurrence(a1=a1, e=e):
+            body = {"family": "power", "a1": int_to_str(a1), "e": int_to_str(e)}
+        case FactorialExponent(base=base, offset=offset):
+            body = {"family": "factorialExp", "base": int_to_str(base),
+                    "offset": int_to_str(offset)}
+        case Explicit(terms=terms):
+            body = {"family": "explicit", "terms": [int_to_str(t) for t in terms]}
+        case Subseries(inner=inner, index_map=index_map):
+            body = {"family": "subseries", "inner": spec_obj(inner),
+                    "indexMap": _index_map_obj(index_map)}
+        case _:
+            raise InvalidParameterError(f"not a sequence spec: {spec!r}")
+    return body | {"startOffset": spec.start_offset}
 
 
 def spec_from_obj(obj: Any) -> SequenceSpec:

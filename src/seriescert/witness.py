@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .convergents import Convergent, convergent_range, partial_sum
+from .convergents import Convergent, partial_sum
 from .enclosure import tail_bound
 from .errors import (
     AlphaTooSmallError,
@@ -36,6 +36,7 @@ from .sequences import (
     _window,
     check_growth,
     checked_pow,
+    one_pass,
 )
 
 CONCLUSION = "roth-criterion-satisfied-on-window"
@@ -65,15 +66,6 @@ class Certificate:
     caveat: str = CAVEAT
 
 
-def _approximation_verified(
-    q: int, alpha: Fraction, bound: Fraction, digit_budget: int
-) -> bool:
-    a, s = alpha.numerator, alpha.denominator
-    u, v = bound.numerator, bound.denominator
-    lhs = checked_pow(u, s, digit_budget) * checked_pow(q, a, digit_budget)
-    return lhs < checked_pow(v, s, digit_budget)
-
-
 def witness(
     spec: SequenceSpec,
     alpha: Union[Fraction, int, str],
@@ -88,7 +80,10 @@ def witness(
     alpha = _as_positive_fraction(alpha, "alpha")
     conv = partial_sum(spec, m, digit_budget)
     bound = tail_bound(spec, m, digit_budget)
-    ok = _approximation_verified(conv.q, alpha, bound, digit_budget)
+    a, s = alpha.numerator, alpha.denominator
+    u, v = bound.numerator, bound.denominator
+    lhs = checked_pow(u, s, digit_budget) * checked_pow(conv.q, a, digit_budget)
+    ok = lhs < checked_pow(v, s, digit_budget)
     return Witness(convergent=conv, alpha=alpha, tail_bound=bound, verified=ok)
 
 
@@ -96,13 +91,11 @@ def rational_prefix(
     spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Fraction:
     """Exact sum of the unit fractions skipped by the start offset."""
-    skipped = spec.start_offset - 1
-    if skipped == 0:
-        return Fraction(0)
     unshifted = dataclasses.replace(spec, start_offset=1)
-    return partial_sum(unshifted, skipped, digit_budget).value
+    return partial_sum(unshifted, spec.start_offset - 1, digit_budget).value
 
 
+@one_pass()
 def certify(
     spec: SequenceSpec,
     alpha: Union[Fraction, int, str],
@@ -114,7 +107,8 @@ def certify(
 
     Raises AlphaTooSmall when the exponent is at most 2, HypothesisFailed
     when the growth check fails anywhere on the window, WitnessFailed
-    when some index does not verify.
+    when some index does not verify. Within the call each term and each
+    partial sum is built once.
     """
     alpha = _as_positive_fraction(alpha, "alpha")
     first, last = _window(first, last)
@@ -128,20 +122,13 @@ def certify(
             f"growth hypothesis fails at n={failed_at}", index=failed_at
         )
     witnesses = []
-    prev_q = 0
-    for conv in convergent_range(spec, last, digit_budget):
-        if conv.m < first:
-            continue
-        bound = tail_bound(spec, conv.m, digit_budget)
-        ok = _approximation_verified(conv.q, alpha, bound, digit_budget)
-        if not ok:
-            raise WitnessFailedError(
-                f"approximation inequality fails at m={conv.m}", m=conv.m
-            )
-        if conv.q <= prev_q:
-            raise ExactnessError(f"denominators failed to increase at m={conv.m}")
-        prev_q = conv.q
-        witnesses.append(Witness(convergent=conv, alpha=alpha, tail_bound=bound, verified=True))
+    for m in range(first, last + 1):
+        wit = witness(spec, alpha, m, digit_budget)
+        if not wit.verified:
+            raise WitnessFailedError(f"approximation inequality fails at m={m}", m=m)
+        if witnesses and wit.convergent.q <= witnesses[-1].convergent.q:
+            raise ExactnessError(f"denominators failed to increase at m={m}")
+        witnesses.append(wit)
     return Certificate(
         spec=spec,
         alpha=alpha,

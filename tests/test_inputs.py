@@ -1,0 +1,199 @@
+"""Inputs at the edges: digit budgets, huge term indices, long numbers on
+the command line, and the failing index in error objects."""
+
+import importlib
+import json
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from seriescert import (
+    Affine,
+    DigitBudgetError,
+    FactorialExponent,
+    InvalidParameterError,
+    PolynomialInt,
+    PowerRecurrence,
+    Subseries,
+    parse_rational,
+    term,
+)
+from seriescert.cli import main
+from seriescert.serialize import str_to_int
+
+P4_OBJ = {"family": "power", "a1": "2", "e": "4"}
+FE_OBJ = {"family": "factorialExp", "base": "2", "offset": "1"}
+STRIDE = 10**400
+LONG = "7" + "0" * 4999  # past the interpreter's 4300-digit int/str limit
+
+
+@pytest.fixture
+def write_spec(tmp_path):
+    def write(obj, name="spec.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps(obj))
+        return str(path)
+    return write
+
+
+def _error(capsys):
+    return json.loads(capsys.readouterr().err)  # exactly one JSON object
+
+
+@pytest.mark.parametrize("argv", [
+    ["term", "--n", "1", "--digit-budget", "-5"],
+    ["analyze", "--alpha", "5/2", "--to", "2", "--digit-budget", "0"],
+    ["certify", "--alpha", "5/2", "--to", "2", "--digit-budget", "0"],
+    ["measure", "--alpha", "3", "--k", "3/2", "--coeffs", "-1,1,1", "--digit-budget", "0"],
+    ["search", "--degree", "2", "--height", "1", "--digit-budget", "-1"],
+], ids=lambda argv: argv[0])
+def test_non_positive_digit_budget_is_rejected_at_the_cli(argv, write_spec, capsys):
+    code = main(argv[:1] + ["--spec", write_spec(P4_OBJ)] + argv[1:])
+    assert code == 2
+    budget = argv[-1]
+    assert _error(capsys) == {
+        "error": "invalid-parameter",
+        "message": f"--digit-budget must be a positive integer, got {budget}",
+    }
+
+
+def test_huge_stride_ends_in_one_budget_error(write_spec, capsys):
+    spec = {"family": "subseries", "inner": P4_OBJ,
+            "indexMap": {"kind": "affine", "s": str(STRIDE), "t": "0"}}
+    assert main(["term", "--spec", write_spec(spec), "--n", "1"]) == 2
+    assert _error(capsys) == {
+        "error": "digit-budget-exceeded",
+        "message": f"term {STRIDE} of the power recurrence exceeds the 1000000-digit budget",
+    }
+
+
+def test_huge_factorial_index_is_refused_before_the_factorial():
+    spec = Subseries(FactorialExponent(2), Affine(STRIDE))
+    with pytest.raises(DigitBudgetError, match="of the factorial-exponent family exceeds"):
+        term(spec, 1)
+
+
+def test_power_recurrence_from_one_is_one_at_any_index():
+    assert term(Subseries(PowerRecurrence(1, 4), Affine(STRIDE)), 1) == 1
+
+
+def _float_precheck(log10_exponent, budget):
+    """The float pre-check the integer bounds replaced."""
+    return log10_exponent > math.log10(budget) + 1
+
+
+BUDGETS = [1, 2, 5, 9, 10, 11, 99, 100, 101, 1000, 4095, 4096, 65536, 10**6]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_power_precheck_fires_where_the_float_check_did(budget):
+    for e in range(2, 13):
+        for i in range(1, 40):
+            fires = _float_precheck((i - 1) * math.log10(e), budget)
+            try:
+                term(PowerRecurrence(2, e, start_offset=i), 1, budget)
+                message = None
+            except DigitBudgetError as exc:
+                message = str(exc)
+            expected = f"term {i} of the power recurrence exceeds the {budget}-digit budget"
+            assert (message == expected) == fires, (e, i)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_factorial_precheck_fires_where_the_float_check_did(budget):
+    for i in range(1, 30):
+        fires = _float_precheck(math.lgamma(i + 1) / math.log(10), budget)
+        try:
+            term(FactorialExponent(2, start_offset=i), 1, budget)
+            message = None
+        except DigitBudgetError as exc:
+            message = str(exc)
+        expected = f"term {i} of the factorial-exponent family exceeds the {budget}-digit budget"
+        assert (message == expected) == fires, i
+
+
+RATIONAL_TEXTS = ["3", "-3", "+3", "5/2", "-5/2", " 5/2 ", "\t7\n", "1_000/3", "10/4",
+                  "0/5", "007/010", "1/0", "5/-2", "5 / 2", "1__0", "_1", "1/", "/2", "",
+                  "0.25", "-1.5e3", "1e-2", ".5", "٣/٤", "\x1c3/4", "3/4\x1c", "abc"]
+
+
+def _same_as_fraction(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(InvalidParameterError, match="cannot parse alpha"):
+            parse_rational(text, "alpha")
+    else:
+        assert parse_rational(text, "alpha") == expected
+
+
+@pytest.mark.parametrize("text", RATIONAL_TEXTS)
+def test_parse_rational_accepts_what_fraction_accepts(text):
+    _same_as_fraction(text)
+
+
+@given(st.text(alphabet=" +-/_.0123456789eE٣\x1c", max_size=10))
+def test_parse_rational_matches_fraction_on_short_inputs(text):
+    _same_as_fraction(text)
+
+
+def test_parse_rational_reads_long_integers_and_fractions():
+    assert parse_rational(LONG) == str_to_int(LONG)
+    assert parse_rational(f"-{LONG}/2") == Fraction(-str_to_int(LONG), 2)
+    assert parse_rational(f"1/{LONG}") == Fraction(1, str_to_int(LONG))
+
+
+def test_long_alpha_reaches_the_growth_check(write_spec, capsys):
+    # alpha + 1 = (p + 2)/2 for odd p, so a_1 = 2 is raised to p + 2
+    p = LONG[:-1] + "1"
+    code = main(["certify", "--spec", write_spec(P4_OBJ), "--alpha", f"{p}/2", "--to", "2"])
+    assert code == 2
+    err = _error(capsys)
+    assert err["error"] == "digit-budget-exceeded"
+    assert err["message"].startswith(f"2-bit base raised to {LONG[:-1]}3 needs about ")
+
+
+def test_long_coefficient_reaches_the_measure_bound(write_spec, capsys):
+    # H = 7*10^4999 goes through the bound and the enclosure depth search;
+    # alpha = 4, k = 2 then fails the sandwich at n = 1
+    code = main(["measure", "--spec", write_spec(P4_OBJ), "--alpha", "4", "--k", "2",
+                 "--coeffs", f"{LONG},1,1"])
+    assert code == 2
+    assert _error(capsys) == {
+        "error": "invalid-parameter", "message": "sandwich hypothesis violated at n=1",
+    }
+
+
+def test_growth_failure_names_the_index(write_spec, capsys):
+    assert main(["certify", "--spec", write_spec(FE_OBJ), "--alpha", "5/2", "--to", "4"]) == 2
+    assert _error(capsys) == {
+        "error": "hypothesis-failed", "index": 1, "message": "growth hypothesis fails at n=1",
+    }
+
+
+def test_witness_failure_names_m(write_spec, capsys, monkeypatch):
+    witness_module = importlib.import_module("seriescert.witness")
+    monkeypatch.setattr(witness_module, "tail_bound", lambda spec, m, budget: Fraction(1))
+    assert main(["certify", "--spec", write_spec(P4_OBJ), "--alpha", "5/2", "--to", "3"]) == 1
+    assert _error(capsys) == {
+        "error": "witness-failed", "m": 1, "message": "approximation inequality fails at m=1",
+    }
+
+
+def test_search_csv_evaluates_each_polynomial_once(write_spec, tmp_path, capsys, monkeypatch):
+    calls = []
+    evaluate_interval = PolynomialInt.evaluate_interval
+
+    def counting(self, lo, hi):
+        calls.append(self.coeffs)
+        return evaluate_interval(self, lo, hi)
+
+    monkeypatch.setattr(PolynomialInt, "evaluate_interval", counting)
+    code = main(["search", "--spec", write_spec(P4_OBJ), "--degree", "2", "--height", "1",
+                 "--csv", str(tmp_path / "rows.csv")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 26
+    assert len(calls) == len(set(calls)) == 26

@@ -275,6 +275,15 @@ def run(config: argparse.Namespace) -> int:
         return _error({"error": "invalid-input", "message": str(exc)}, 2)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InvalidParameterError,
+    so they reach the JSON error contract instead of printing usage text
+    (subcommand parsers are made of the same class)."""
+
+    def error(self, message: str):
+        raise InvalidParameterError(f"{self.prog}: {message}")
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--spec", dest="spec_path", help="path to a sequence spec JSON file")
     sub.add_argument("--digit-budget", dest="digit_budget", type=int,
@@ -284,7 +293,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seriescert",
         description="exact checks for unit-fraction series with fast-growing terms",
     )
@@ -335,19 +344,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _normalize(argv: list[str]) -> list[str]:
-    """Glue values onto --coeffs so a leading minus sign is not mistaken
-    for an option (argparse only special-cases bare negative numbers)."""
+    """Glue values onto --coeffs, --alpha and --k so a leading minus sign
+    is not mistaken for an option (argparse only special-cases bare
+    negative numbers)."""
     out, rest = [], iter(argv)
     for arg in rest:
-        value = next(rest, None) if arg == "--coeffs" else None
-        out.append(arg if value is None else f"--coeffs={value}")
+        value = next(rest, None) if arg in ("--coeffs", "--alpha", "--k") else None
+        out.append(arg if value is None else f"{arg}={value}")
     return out
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    return run(build_parser().parse_args(_normalize(argv)))
+    try:
+        config = build_parser().parse_args(_normalize(argv))
+    except InvalidParameterError as exc:
+        return _error({"error": exc.code, "message": str(exc)}, exc.exit_code)
+    return run(config)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,16 @@ returning a flag. A partial sum reads no term past its own index, and
 inside one pass (``one_pass``) each partial sum is built once and
 extended from there.
 
+For the built-in families the step is a chain step. When a_{m-1} = b**E0
+and a_m = b**E1 with E1 > E0, a_{m-1} divides a_m; if moreover
+q_{m-1} = a_{m-1}, then p_m/q_m = (p_{m-1} b**(E1-E0) + 1)/a_m, with no
+gcd and no division. That fraction is reduced exactly when its
+numerator, which is 1 mod b, is prime to b, and the step still checks
+this (as gcd(p mod b, b) = 1, a gcd with a small integer). q_1 = a_1, so
+along such a sequence every q_m is a_m and every step chains. Any other
+step (explicit terms, a1 = 1, or a q that is not the previous term) is
+Henrici's addition, the generic step, which tests use as the oracle.
+
 The shrink factor b_n = (a_1 a_2 ... a_n)^alpha / a_{n+1} is held as the
 exact pair (product, next term) plus the exponent. It is never realized
 as a real number: every decision about it goes through an integer
@@ -22,13 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .errors import ExactnessError, InvalidParameterError, NotFoundInWindowError
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
+    Ordering,
     SequenceSpec,
     _as_positive_fraction,
+    _compare_products,
     _pass_memo,
     _window,
     checked_pow,
@@ -65,21 +77,39 @@ class TailShrink:
     log10_approx: float
 
 
-def _add_term(conv: Convergent, product: int, a: int) -> tuple[Convergent, int]:
+def _add_term(
+    conv: Convergent,
+    product: int,
+    a: int,
+    link: Optional[tuple[int, tuple[int, int], tuple[int, int]]] = None,
+    digit_budget: int = DEFAULT_DIGIT_BUDGET,
+) -> tuple[Convergent, int]:
     """The sum step: p/q + 1/a in lowest terms, and the product times a.
 
-    p/q is reduced, so only the common factor of q and a can cancel
-    (Henrici's addition, as in Fraction).
+    link is (a_{m-1}, its exponent form (b, E0), the form (b, E1) of a),
+    when known. If q = a_{m-1} = b**E0 and a = b**E1 with E1 > E0, then
+    a_{m-1} divides a and the step is the chain step p*b**(E1-E0) + 1
+    over a; otherwise it is Henrici's addition (as in Fraction): p/q is
+    reduced, so only the common factor of q and a can cancel.
     """
-    g = math.gcd(conv.q, a)
-    s = conv.q // g
-    t = conv.p * (a // g) + s
-    g2 = math.gcd(t, g)
-    m, p, q, product = conv.m + 1, t // g2, s * (a // g2), product * a
-    # gcd(p, q) == 1 decided on the odd parts, so that a power-of-two q
-    # (every series with a_1 = 2^k) needs no gcd
-    odd_p, odd_q = p >> (p & -p).bit_length() - 1, q >> (q & -q).bit_length() - 1
-    if not (p | q) & 1 or math.gcd(odd_p, odd_q) != 1:
+    m = conv.m + 1
+    a_prev, (b0, e0), (b, e1) = link or (0, (0, 0), (0, 0))
+    if b == b0 >= 2 and e1 > e0 and conv.q == a_prev:
+        p, q = conv.p * checked_pow(b, e1 - e0, digit_budget) + 1, a
+        # q = b**E1, so gcd(p, q) == 1 exactly when p mod b is prime to b
+        reduced = math.gcd(p % b, b) == 1
+    else:
+        g = math.gcd(conv.q, a)
+        s = conv.q // g
+        t = conv.p * (a // g) + s
+        g2 = math.gcd(t, g)
+        p, q = t // g2, s * (a // g2)
+        # gcd(p, q) == 1 decided on the odd parts, so that a power-of-two q
+        # (every series with a_1 = 2^k) needs no gcd
+        odd_p, odd_q = p >> (p & -p).bit_length() - 1, q >> (q & -q).bit_length() - 1
+        reduced = (p | q) & 1 and math.gcd(odd_p, odd_q) == 1
+    product *= a
+    if not reduced:
         raise ExactnessError(f"partial sum at m={m} is not reduced: {p}/{q}")
     if q > product:
         raise ExactnessError(
@@ -98,8 +128,11 @@ def _prefix_sums(
 
     def s(m: int) -> tuple[Convergent, int]:
         while len(built) <= m:
+            n = len(built)
             conv, product = built[-1]
-            built.append(_add_term(conv, product, a(len(built))))
+            a_n = a(n)
+            link = (a(n - 1), a.form(n - 1), a.form(n)) if n > 1 else None
+            built.append(_add_term(conv, product, a_n, link, digit_budget))
         return built[m]
 
     return s
@@ -170,9 +203,8 @@ def shrink_less_than(
     r = _as_positive_fraction(r, "threshold")
     p, s = ts.alpha.numerator, ts.alpha.denominator
     u, v = r.numerator, r.denominator
-    lhs = checked_pow(ts.product, p, digit_budget) * checked_pow(v, s, digit_budget)
-    rhs = checked_pow(u, s, digit_budget) * checked_pow(ts.next_term, s, digit_budget)
-    return lhs < rhs
+    lhs, rhs = ((ts.product, p), (v, s)), ((u, s), (ts.next_term, s))
+    return _compare_products(lhs, rhs, digit_budget) is Ordering.LESS
 
 
 def shrink_decreases(
@@ -188,13 +220,9 @@ def shrink_decreases(
     if prev.alpha != cur.alpha:
         raise InvalidParameterError("shrink factors must share the same exponent")
     p, s = cur.alpha.numerator, cur.alpha.denominator
-    lhs = checked_pow(cur.product, p, digit_budget) * checked_pow(
-        prev.next_term, s, digit_budget
-    )
-    rhs = checked_pow(prev.product, p, digit_budget) * checked_pow(
-        cur.next_term, s, digit_budget
-    )
-    return lhs < rhs
+    lhs = ((cur.product, p), (prev.next_term, s))
+    rhs = ((prev.product, p), (cur.next_term, s))
+    return _compare_products(lhs, rhs, digit_budget) is Ordering.LESS
 
 
 @one_pass()

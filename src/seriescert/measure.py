@@ -41,8 +41,10 @@ from .sequences import (
     Ordering,
     SequenceSpec,
     _as_positive_fraction,
+    _budget_check,
+    _compare_products,
+    _decimal,
     _window_report,
-    checked_pow,
     compare_power,
     one_pass,
     term_stream,
@@ -113,10 +115,9 @@ class MeasureBound:
         if value <= 0:
             return Ordering.LESS
         p, s = self.exponent.numerator, self.exponent.denominator
-        lhs = checked_pow(value.numerator, s, digit_budget)
-        lhs *= checked_pow(self.base, p, digit_budget)
-        rhs = checked_pow(value.denominator, s, digit_budget)
-        return Ordering((lhs > rhs) - (lhs < rhs))
+        return _compare_products(
+            ((value.numerator, s), (self.base, p)), ((value.denominator, s),), digit_budget
+        )
 
     def is_exceeded_by(self, value: Fraction, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> bool:
         """Exact check value > base^(-exponent)."""
@@ -173,10 +174,10 @@ def bound(
     _check_class(d, H, 2)
     if alpha <= d:
         raise InvalidParameterError(
-            f"exponent alpha={alpha} must exceed the degree {d}"
+            f"exponent alpha={_decimal(alpha)} must exceed the degree {d}"
         )
     if k <= 1:
-        raise InvalidParameterError(f"k must be > 1, got {k}")
+        raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
     return MeasureBound(
         degree=d,
         height=H,
@@ -190,8 +191,7 @@ def bound(
 def _q_exponent_ok(q_n: int, a_n: int, alpha: Fraction, digit_budget: int) -> bool:
     """q_n <= a_n^((alpha+1)/alpha), cleared with alpha = p/s to
     q_n^p <= a_n^(p+s)."""
-    p, s = alpha.numerator, alpha.denominator
-    return checked_pow(q_n, p, digit_budget) <= checked_pow(a_n, p + s, digit_budget)
+    return compare_power(q_n, a_n, (alpha + 1) / alpha, digit_budget) is not Ordering.GREATER
 
 
 def _q_growth_ok(
@@ -227,7 +227,7 @@ def q_growth_holds(
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_positive_fraction(k, "k")
     if k <= 1:
-        raise InvalidParameterError(f"k must be > 1, got {k}")
+        raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {n}")
     s = _prefix_sums(spec, digit_budget)
@@ -253,14 +253,15 @@ def find_n1(
         raise InvalidParameterError(f"search cutoff must be >= 1, got {n_max}")
     if alpha <= d:
         raise InvalidParameterError(
-            f"exponent alpha={alpha} must exceed the degree {d}"
+            f"exponent alpha={_decimal(alpha)} must exceed the degree {d}"
         )
     threshold = H * d * (d + 1)
     diff = alpha - d
     p, s = diff.numerator, diff.denominator
-    threshold_pow = checked_pow(threshold, s, digit_budget)
+    _budget_check(threshold, s, digit_budget)
     for conv in convergent_range(spec, n_max, digit_budget):
-        if checked_pow(conv.q, p, digit_budget) > threshold_pow:
+        order = _compare_products(((conv.q, p),), ((threshold, s),), digit_budget)
+        if order is Ordering.GREATER:
             return N1Result(n1=conv.m, q_at_n1=conv.q, threshold_value=threshold)
     raise NotFoundBelowNMaxError(
         f"no index up to {n_max} clears the threshold {threshold}"
@@ -329,12 +330,12 @@ def verify_measure(
     d = degree if degree is not None else max(2, P.degree)
     if d < P.degree:
         raise InvalidParameterError(
-            f"declared degree {d} is smaller than actual degree {P.degree}"
+            f"declared degree {_decimal(d)} is smaller than actual degree {P.degree}"
         )
     H = height if height is not None else P.height
     if H < P.height:
         raise InvalidParameterError(
-            f"declared height {H} is smaller than actual height {P.height}"
+            f"declared height {_decimal(H)} is smaller than actual height {_decimal(P.height)}"
         )
     target = bound(d, H, alpha, k)
 

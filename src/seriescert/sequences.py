@@ -16,13 +16,22 @@ prefix is a rational number and is reported separately by the
 certification layer.
 
 All comparisons with fractional exponents are decided exactly: x vs
-y**(p/s) is resolved by comparing the integers x**s and y**p.  Nothing
+y**(p/s) is resolved by comparing the integers x**s and y**p.  When the
+bit lengths of x and y already place x**s and y**p in disjoint ranges
+of powers of two, that settles it and neither power is built.  Nothing
 in this module ever rounds.
 
+Every family but ``Explicit`` has a_n = b**E_n with E_n increasing in n
+(n! + c, e**(n-1), or either through a strictly increasing index map).
+:func:`exponent_form` gives that pair (b, E_n) without building the
+power, and :func:`term` is that form plus one :func:`checked_pow`; an
+explicit term t has the form (t, 1).
+
 Checks read terms through a term stream (:func:`term_stream`), which
-builds each a_n once, on first use.  Inside :func:`one_pass` all streams
-of one spec share their terms, so a public helper called by another
-reads the terms its caller has already built.
+builds each a_n once, on first use, and hands its exponent form to the
+partial-sum step.  Inside :func:`one_pass` all streams of one spec share
+their terms, so a public helper called by another reads the terms its
+caller has already built.
 """
 
 from __future__ import annotations
@@ -58,15 +67,34 @@ class Ordering(IntEnum):
 def _as_positive_fraction(value: Union[Fraction, int, str], name: str) -> Fraction:
     f = Fraction(value)
     if f <= 0:
-        raise InvalidParameterError(f"{name} must be positive, got {f}")
+        raise InvalidParameterError(f"{name} must be positive, got {_decimal(f)}")
     return f
 
 
-def _decimal(value: int) -> str:
-    """``str(value)`` at any size, for error messages."""
-    from .serialize import int_to_str  # serialize imports this module
+def _decimal(value) -> str:
+    """``str(value)``, at any size for an int or a Fraction, for error
+    messages."""
+    from .serialize import fraction_to_str, int_to_str  # serialize imports this module
 
-    return int_to_str(value)
+    if isinstance(value, Fraction):
+        return fraction_to_str(value)
+    return int_to_str(value) if isinstance(value, int) else str(value)
+
+
+def _budget_check(base: int, exp: int, digit_budget: int) -> None:
+    """The size check of :func:`checked_pow`, without building the power."""
+    if exp < 0:
+        raise InvalidParameterError("negative exponents are not integers")
+    if base == 0 or base == 1 or exp == 0:
+        return
+    # Integer upper bound on the decimal digits of base**exp; 30103/100000
+    # over-approximates log10(2), and integer arithmetic cannot overflow.
+    est_digits = exp * base.bit_length() * 30103 // 100000 + 1
+    if est_digits > digit_budget:
+        raise DigitBudgetError(
+            f"{base.bit_length()}-bit base raised to {_decimal(exp)} needs about "
+            f"{_decimal(est_digits)} decimal digits; budget is {digit_budget}"
+        )
 
 
 def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
@@ -76,19 +104,38 @@ def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
     digit count of the result from above, so the power is never computed
     when it could not be stored within budget.
     """
-    if exp < 0:
-        raise InvalidParameterError("negative exponents are not integers")
-    if base == 0 or base == 1 or exp == 0:
-        return base**exp
-    # Integer upper bound on the decimal digits of base**exp; 30103/100000
-    # over-approximates log10(2), and integer arithmetic cannot overflow.
-    est_digits = exp * base.bit_length() * 30103 // 100000 + 1
-    if est_digits > digit_budget:
-        raise DigitBudgetError(
-            f"{base.bit_length()}-bit base raised to {_decimal(exp)} needs about "
-            f"{_decimal(est_digits)} decimal digits; budget is {digit_budget}"
-        )
+    _budget_check(base, exp, digit_budget)
     return base**exp
+
+
+def _compare_products(
+    lhs: tuple[tuple[int, int], ...],
+    rhs: tuple[tuple[int, int], ...],
+    digit_budget: int,
+) -> Ordering:
+    """Exact ordering of the product of x**k over the pairs (x, k) of lhs
+    against the same product over rhs, for x >= 1 and k >= 1.
+
+    Every factor first passes the size check of :func:`checked_pow`, in
+    order, so a comparison the budget refuses is refused as before. A
+    base of bit length L lies in [2**(L-1), 2**L), so each product lies
+    in [2**sum(k*(L-1)), 2**sum(k*L)); when the two ranges do not
+    overlap the ordering is settled without building any power, and
+    only otherwise are the products built and compared.
+    """
+    for x, k in lhs + rhs:
+        _budget_check(x, k, digit_budget)
+    low_l = sum(k * (x.bit_length() - 1) for x, k in lhs)
+    high_l = sum(k * x.bit_length() for x, k in lhs)
+    low_r = sum(k * (x.bit_length() - 1) for x, k in rhs)
+    high_r = sum(k * x.bit_length() for x, k in rhs)
+    if low_l >= high_r:
+        return Ordering.GREATER
+    if low_r >= high_l:
+        return Ordering.LESS
+    left = math.prod(checked_pow(x, k, digit_budget) for x, k in lhs)
+    right = math.prod(checked_pow(x, k, digit_budget) for x, k in rhs)
+    return Ordering((left > right) - (left < right))
 
 
 @dataclass(frozen=True)
@@ -104,10 +151,10 @@ class Affine:
 
     def __post_init__(self):
         if self.s < 1:
-            raise InvalidIndexMapError(f"affine stride must be >= 1, got {self.s}")
+            raise InvalidIndexMapError(f"affine stride must be >= 1, got {_decimal(self.s)}")
         if self.s + self.t < 1:
             raise InvalidIndexMapError(
-                f"affine map sends 1 to {self.s + self.t}, not a valid index"
+                f"affine map sends 1 to {_decimal(self.s + self.t)}, not a valid index"
             )
 
     def apply(self, n: int) -> int:
@@ -159,9 +206,9 @@ class PowerRecurrence:
 
     def __post_init__(self):
         if self.a1 < 1:
-            raise InvalidParameterError(f"a1 must be a positive integer, got {self.a1}")
+            raise InvalidParameterError(f"a1 must be a positive integer, got {_decimal(self.a1)}")
         if self.e < 2:
-            raise InvalidParameterError(f"recurrence exponent must be >= 2, got {self.e}")
+            raise InvalidParameterError(f"recurrence exponent must be >= 2, got {_decimal(self.e)}")
         _check_offset(self.start_offset)
 
 
@@ -175,9 +222,9 @@ class FactorialExponent:
 
     def __post_init__(self):
         if self.base < 2:
-            raise InvalidParameterError(f"base must be >= 2, got {self.base}")
+            raise InvalidParameterError(f"base must be >= 2, got {_decimal(self.base)}")
         if self.offset < 0:
-            raise InvalidParameterError(f"offset must be >= 0, got {self.offset}")
+            raise InvalidParameterError(f"offset must be >= 0, got {_decimal(self.offset)}")
         _check_offset(self.start_offset)
 
 
@@ -212,40 +259,55 @@ class Subseries:
 SequenceSpec = Union[PowerRecurrence, FactorialExponent, Explicit, Subseries]
 
 
-def term(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
-    """Exact n-th term of the (offset-shifted) sequence, n >= 1."""
+def exponent_form(
+    spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> tuple[int, int]:
+    """(b, E) with a_n = b**E for the (offset-shifted) sequence, n >= 1.
+
+    Runs the index pre-checks of :func:`term` but builds no power. An
+    explicit term t is (t, 1).
+    """
     if n < 1:
-        raise InvalidParameterError(f"term index must be >= 1, got {n}")
+        raise InvalidParameterError(f"term index must be >= 1, got {_decimal(n)}")
     i = n + spec.start_offset - 1
     # a_i = b**E with b >= 2 has over 3 * budget digits once E > limit;
     # E >= 2**(i-1) rules out i >= limit.bit_length() + 1 before E is built
     limit = 10 * digit_budget
     match spec:
         case PowerRecurrence(a1=1):
-            return 1
+            return 1, 1
         case PowerRecurrence(a1=a1, e=e):
             if i - 1 >= limit.bit_length() or e ** (i - 1) > limit:
                 raise DigitBudgetError(
                     f"term {_decimal(i)} of the power recurrence exceeds the "
                     f"{digit_budget}-digit budget"
                 )
-            return checked_pow(a1, e ** (i - 1), digit_budget)
+            return a1, e ** (i - 1)
         case FactorialExponent(base=base, offset=offset):
             if i - 1 >= limit.bit_length() or math.factorial(i) > limit:
                 raise DigitBudgetError(
                     f"term {_decimal(i)} of the factorial-exponent family exceeds the "
                     f"{digit_budget}-digit budget"
                 )
-            return checked_pow(base, math.factorial(i) + offset, digit_budget)
+            return base, math.factorial(i) + offset
         case Explicit(terms=terms):
             if i > len(terms):
                 raise IndexOutOfRangeError(
                     f"explicit sequence has {len(terms)} terms, asked for index {_decimal(i)}"
                 )
-            return terms[i - 1]
+            return terms[i - 1], 1
         case Subseries(inner=inner, index_map=index_map):
-            return term(inner, index_map.apply(i), digit_budget)
+            return exponent_form(inner, index_map.apply(i), digit_budget)
     raise TypeError(f"not a sequence spec: {spec!r}")
+
+
+def term(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+    """Exact n-th term of the (offset-shifted) sequence, n >= 1."""
+    b, e = exponent_form(spec, n, digit_budget)
+    while isinstance(spec, Subseries):
+        spec = spec.inner
+    # an explicit term is given, not built, so no budget applies to it
+    return b if isinstance(spec, Explicit) else checked_pow(b, e, digit_budget)
 
 
 # What the open pass has built, by key; see one_pass.
@@ -276,18 +338,30 @@ def _pass_memo(key: tuple, make: Callable[[], object]):
     return open_pass[key]
 
 
-def term_stream(
-    spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> Callable[[int], int]:
-    """The terms of spec as a function n -> a_n that builds each term once."""
-    built = _pass_memo(("terms", spec, digit_budget), dict)
+class TermStream:
+    """The terms of a spec as a function n -> a_n that builds each term
+    once, and their exponent forms (:func:`exponent_form`)."""
 
-    def a(n: int) -> int:
-        if n not in built:
-            built[n] = term(spec, n, digit_budget)
-        return built[n]
+    def __init__(self, spec: SequenceSpec, digit_budget: int):
+        self.spec, self.digit_budget = spec, digit_budget
+        self.built = _pass_memo(("terms", spec, digit_budget), dict)
+        self.forms = _pass_memo(("forms", spec, digit_budget), dict)
 
-    return a
+    def __call__(self, n: int) -> int:
+        if n not in self.built:
+            self.built[n] = term(self.spec, n, self.digit_budget)
+        return self.built[n]
+
+    def form(self, n: int) -> tuple[int, int]:
+        """(b, E) with a_n = b**E, each worked out once."""
+        if n not in self.forms:
+            self.forms[n] = exponent_form(self.spec, n, self.digit_budget)
+        return self.forms[n]
+
+
+def term_stream(spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> TermStream:
+    """The terms of spec, each built once; see :class:`TermStream`."""
+    return TermStream(spec, digit_budget)
 
 
 def compare_power(
@@ -299,14 +373,14 @@ def compare_power(
     """Exact ordering of x versus y**e for positive integers x, y.
 
     Decided by comparing the integers x**e.denominator and y**e.numerator,
-    so fractional exponents cost one cross-exponentiation and no rounding.
+    so fractional exponents cost no rounding; most comparisons are
+    settled by the bit lengths of x and y before either power is built
+    (see :func:`_compare_products`).
     """
     if x < 1 or y < 1:
         raise InvalidParameterError("compare_power needs positive integers")
     e = _as_positive_fraction(e, "exponent")
-    lhs = checked_pow(x, e.denominator, digit_budget)
-    rhs = checked_pow(y, e.numerator, digit_budget)
-    return Ordering((lhs > rhs) - (lhs < rhs))
+    return _compare_products(((x, e.denominator),), ((y, e.numerator),), digit_budget)
 
 
 @dataclass(frozen=True)
@@ -412,7 +486,7 @@ def check_sandwich(
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_positive_fraction(k, "k")
     if k <= 1:
-        raise InvalidParameterError(f"k must be > 1, got {k}")
+        raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
     first, last = _window(first, last)
     return _window_report(spec, alpha, k, first, last, digit_budget)
 

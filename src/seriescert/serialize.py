@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -34,13 +35,16 @@ from .sequences import (
 )
 
 # Below these sizes the builtin conversions are used. CPython refuses
-# str(int) and int(str) beyond sys.get_int_max_str_digits() decimal digits,
-# which can be set as low as 640 but never lower, so no setting of the limit
-# makes a builtin call here raise. On CPython 3.11 the divide-and-conquer
-# int->str is 4.5x slower than str() at 2,000 bits and only overtakes it
-# near 48,000 bits, so the cut-over is as high as that floor allows; for
-# str->int the two are within 1.5x of each other from 300 digits up.
+# str(int) and int(str) beyond sys.get_int_max_str_digits() decimal digits
+# (the sign not counted; 0 means no limit), which can be set as low as 640
+# but never lower, so no setting of the limit makes a builtin call below
+# these sizes raise. On CPython 3.11 the divide-and-conquer int->str is 6x
+# slower than str() at 2,000 bits, 1.5x at 24,000, and only overtakes it
+# near 48,000 bits, so up to that size int_to_str also calls str() when
+# the current limit allows the value. For str->int the two are within
+# 1.5x of each other from 300 digits up.
 _INT_TO_STR_CUTOVER_BITS = 2048  # 2**2048 < 10**617
+_STR_FASTER_BELOW_BITS = 48_000
 _STR_TO_INT_CUTOVER_CHARS = 640
 
 # int(text, 10) accepts this grammar: \d and \s are Unicode-aware as in
@@ -51,12 +55,20 @@ _INT_SYNTAX = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 def int_to_str(value: int) -> str:
     """Decimal string of an arbitrary-size integer, equal to ``str(value)``.
 
-    Large values go through a divide-and-conquer conversion (port of
-    CPython 3.12's ``_pylong.int_to_decimal_string``, gh-90716), which is
-    subquadratic and is not subject to the interpreter's digit limit.
+    Large values, and values past the interpreter's current int/str digit
+    limit (read on every call, never set), go through a divide-and-conquer
+    conversion (port of CPython 3.12's ``_pylong.int_to_decimal_string``,
+    gh-90716), which is subquadratic and is not subject to that limit.
     """
-    if value.bit_length() <= _INT_TO_STR_CUTOVER_BITS:
+    bits = value.bit_length()
+    if bits <= _INT_TO_STR_CUTOVER_BITS:
         return str(value)
+    if bits <= _STR_FASTER_BELOW_BITS:
+        # an interpreter without get_int_max_str_digits has no limit (0)
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        # bits * 30103 // 100000 + 1 bounds the digit count from above
+        if limit == 0 or bits * 30103 // 100000 + 1 <= limit:
+            return str(value)
     import decimal
 
     D = decimal.Decimal
@@ -92,8 +104,7 @@ def int_to_str(value: int) -> str:
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = 1
-        magnitude = abs(value)
-        text = str(inner(magnitude, magnitude.bit_length()))
+        text = str(inner(abs(value), bits))
     return "-" + text if value < 0 else text
 
 

@@ -31,11 +31,13 @@ from .errors import (
 )
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
+    Ordering,
     SequenceSpec,
     _as_positive_fraction,
+    _compare_products,
+    _decimal,
     _window,
     check_growth,
-    checked_pow,
     one_pass,
 )
 
@@ -82,8 +84,8 @@ def witness(
     bound = tail_bound(spec, m, digit_budget)
     a, s = alpha.numerator, alpha.denominator
     u, v = bound.numerator, bound.denominator
-    lhs = checked_pow(u, s, digit_budget) * checked_pow(conv.q, a, digit_budget)
-    ok = lhs < checked_pow(v, s, digit_budget)
+    order = _compare_products(((u, s), (conv.q, a)), ((v, s),), digit_budget)
+    ok = order is Ordering.LESS
     return Witness(convergent=conv, alpha=alpha, tail_bound=bound, verified=ok)
 
 
@@ -114,7 +116,7 @@ def certify(
     first, last = _window(first, last)
     if alpha <= 2:
         raise AlphaTooSmallError(
-            f"exponent must exceed 2 for the criterion to apply, got {alpha}"
+            f"exponent must exceed 2 for the criterion to apply, got {_decimal(alpha)}"
         )
     growth = check_growth(spec, alpha, first, last, digit_budget)
     for failed_at in growth.failures():

@@ -59,9 +59,9 @@ def sum_steps(monkeypatch):
     add_term = convergents._add_term
     steps = []
 
-    def recording(conv, product, a):
+    def recording(conv, product, a, *args):
         steps.append(conv.m + 1)
-        return add_term(conv, product, a)
+        return add_term(conv, product, a, *args)
 
     monkeypatch.setattr(convergents, "_add_term", recording)
     return steps

@@ -104,10 +104,10 @@ def _run_analyze(config: argparse.Namespace) -> int:
         raise SeriesCertError("--alpha is required for analyze")
     if config.last is None:
         raise SeriesCertError("--to is required for analyze")
-    alpha = parse_rational(config.alpha, "alpha")
-    k = parse_rational(config.k, "k") if config.k else None
-    first, last = _window(config.first, config.last)
     budget = config.digit_budget
+    alpha = parse_rational(config.alpha, "alpha", budget)
+    k = parse_rational(config.k, "k", budget) if config.k else None
+    first, last = _window(config.first, config.last)
 
     a, s = term_stream(spec, budget), _prefix_sums(spec, budget)
     rows = []
@@ -151,7 +151,7 @@ def _run_certify(config: argparse.Namespace) -> int:
         raise SeriesCertError("--alpha is required for certify")
     if config.last is None:
         raise SeriesCertError("--to is required for certify")
-    alpha = parse_rational(config.alpha, "alpha")
+    alpha = parse_rational(config.alpha, "alpha", config.digit_budget)
     cert = certify(spec, alpha, config.first, config.last, config.digit_budget)
     _emit(canonical_dumps(certificate_obj(cert)), config.out)
     return 0
@@ -186,8 +186,8 @@ def _run_measure(config: argparse.Namespace) -> int:
     for flag, name in ((config.alpha, "--alpha"), (config.k, "--k"), (config.coeffs, "--coeffs")):
         if flag is None:
             raise SeriesCertError(f"{name} is required for measure")
-    alpha = parse_rational(config.alpha, "alpha")
-    k = parse_rational(config.k, "k")
+    alpha = parse_rational(config.alpha, "alpha", config.digit_budget)
+    k = parse_rational(config.k, "k", config.digit_budget)
     poly = PolynomialInt(tuple(str_to_int(c, "coefficient") for c in config.coeffs.split(",")))
     evidence = verify_measure(
         spec,

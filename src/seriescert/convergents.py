@@ -20,6 +20,8 @@ this (as gcd(p mod b, b) = 1, a gcd with a small integer). q_1 = a_1, so
 along such a sequence every q_m is a_m and every step chains. Any other
 step (explicit terms, a1 = 1, or a q that is not the previous term) is
 Henrici's addition, the generic step, which tests use as the oracle.
+Products by a term shift by its factor of two, so with a_1 = 2**k the
+chain step is two shifts and an addition.
 
 The shrink factor b_n = (a_1 a_2 ... a_n)^alpha / a_{n+1} is held as the
 exact pair (product, next term) plus the exponent. It is never realized
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ExactnessError, InvalidParameterError, NotFoundInWindowError
@@ -42,6 +45,7 @@ from .sequences import (
     _as_positive_fraction,
     _compare_products,
     _pass_memo,
+    _times,
     _window,
     checked_pow,
     one_pass,
@@ -95,7 +99,7 @@ def _add_term(
     m = conv.m + 1
     a_prev, (b0, e0), (b, e1) = link or (0, (0, 0), (0, 0))
     if b == b0 >= 2 and e1 > e0 and conv.q == a_prev:
-        p, q = conv.p * checked_pow(b, e1 - e0, digit_budget) + 1, a
+        p, q = _times(conv.p, checked_pow(b, e1 - e0, digit_budget)) + 1, a
         # q = b**E1, so gcd(p, q) == 1 exactly when p mod b is prime to b
         reduced = math.gcd(p % b, b) == 1
     else:
@@ -108,7 +112,7 @@ def _add_term(
         # (every series with a_1 = 2^k) needs no gcd
         odd_p, odd_q = p >> (p & -p).bit_length() - 1, q >> (q & -q).bit_length() - 1
         reduced = (p | q) & 1 and math.gcd(odd_p, odd_q) == 1
-    product *= a
+    product = _times(product, a)
     if not reduced:
         raise ExactnessError(f"partial sum at m={m} is not reduced: {p}/{q}")
     if q > product:
@@ -186,7 +190,8 @@ def shrink_factor(
         raise InvalidParameterError(f"index must be >= 1, got {n}")
     alpha = _as_positive_fraction(alpha, "alpha")
     a = term_stream(spec, digit_budget)
-    return _tail_shrink(n, math.prod(a(i) for i in range(1, n + 1)), a(n + 1), alpha)
+    product = reduce(_times, (a(i) for i in range(1, n + 1)), 1)
+    return _tail_shrink(n, product, a(n + 1), alpha)
 
 
 def shrink_less_than(

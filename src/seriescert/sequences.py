@@ -19,7 +19,8 @@ All comparisons with fractional exponents are decided exactly: x vs
 y**(p/s) is resolved by comparing the integers x**s and y**p.  When the
 bit lengths of x and y already place x**s and y**p in disjoint ranges
 of powers of two, that settles it and neither power is built.  Nothing
-in this module ever rounds.
+in this module ever rounds.  Powers and products apply their factor of
+two as a shift, so for a_1 = 2**k no term costs a squaring.
 
 Every family but ``Explicit`` has a_n = b**E_n with E_n increasing in n
 (n! + c, e**(n-1), or either through a strictly increasing index map).
@@ -42,6 +43,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -105,7 +107,20 @@ def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
     when it could not be stored within budget.
     """
     _budget_check(base, exp, digit_budget)
-    return base**exp
+    # the factor of two in the base is a shift: 2**E costs no squaring
+    twos = (base & -base).bit_length() - 1 if base else 0
+    return (base >> twos) ** exp << twos * exp
+
+
+def _times(x: int, y: int) -> int:
+    """``x * y`` for y >= 1, with the factor of two in y applied as a shift.
+
+    Every term of a series with a_1 = 2**k is a power of two, and so is
+    every partial-sum denominator; multiplying by one is then linear in
+    the operand sizes instead of a full product of big integers.
+    """
+    twos = (y & -y).bit_length() - 1
+    return x * (y >> twos) << twos
 
 
 def _compare_products(
@@ -133,8 +148,8 @@ def _compare_products(
         return Ordering.GREATER
     if low_r >= high_l:
         return Ordering.LESS
-    left = math.prod(checked_pow(x, k, digit_budget) for x, k in lhs)
-    right = math.prod(checked_pow(x, k, digit_budget) for x, k in rhs)
+    left = reduce(_times, (checked_pow(x, k, digit_budget) for x, k in lhs), 1)
+    right = reduce(_times, (checked_pow(x, k, digit_budget) for x, k in rhs), 1)
     return Ordering((left > right) - (left < right))
 
 

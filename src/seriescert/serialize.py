@@ -22,8 +22,9 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .errors import InvalidParameterError
+from .errors import DigitBudgetError, InvalidParameterError
 from .sequences import (
+    DEFAULT_DIGIT_BUDGET,
     Affine,
     Explicit,
     ExplicitIndices,
@@ -166,6 +167,22 @@ def _floor_log10_2(n: int) -> int | None:
     return low if low == n * (_LOG10_2_Q128 + 1) >> 128 else None
 
 
+def _ten_pow_bounds(h: int) -> tuple[int, int, int]:
+    """(lo, hi, s) with lo * 2**s <= 10**h <= hi * 2**s and lo, hi at
+    most 2**128: 10**h by square-and-multiply, every intermediate cut to
+    128 bits, rounding down for lo and up for hi. hi - lo grows as about
+    0.04 h (measured up to h = 10**8)."""
+    lo = hi = 1
+    s = 0
+    for bit in bin(h)[2:]:
+        lo, hi, s = lo * lo, hi * hi, 2 * s
+        if bit == "1":
+            lo, hi = 10 * lo, 10 * hi
+        drop = max(hi.bit_length() - 128, 0)
+        lo, hi, s = lo >> drop, -(-hi >> drop), s + drop
+    return lo, hi, s
+
+
 def decimal_digits(value: int) -> int:
     """Exact count of decimal digits of ``abs(value)``, without building
     its decimal string."""
@@ -177,7 +194,13 @@ def decimal_digits(value: int) -> int:
         return len(int_to_str(value))
     if low == high:
         return low + 1
-    return high + (value >= 10**high)
+    # value's top bits settle value >= 10**high unless they fall between
+    # the bounds: unless value lies within a relative h * 2**-127 of it
+    lo, hi, s = _ten_pow_bounds(high)
+    top = value >> s
+    if lo <= top < hi:
+        return high + (value >= 10**high)
+    return high + (top >= hi)
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -224,14 +247,36 @@ def rational_from_obj(obj: Any, name: str = "rational") -> Fraction:
 # the integer and p/q forms of Fraction(text); digit groups with
 # underscores are left to Fraction, which accepts them from Python 3.11
 _RATIONAL_SYNTAX = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
+# the exponent of a decimal form such as "1.5e3", whose power of ten
+# Fraction() builds
+_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?(\d[\d_]*)\s*\Z")
 
 
-def parse_rational(text: str, name: str = "rational") -> Fraction:
+def parse_rational(
+    text: str, name: str = "rational", digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> Fraction:
     """Parse "p/q" or "p" into an exact Fraction, with no limit on the
-    digits; every other form Fraction() accepts ("0.25", "1e3") too."""
+    digits; every other form Fraction() accepts ("0.25", "1e3") too.
+
+    A decimal exponent beyond the digit budget raises DigitBudgetError
+    before Fraction() builds 10**exponent: ten characters, "1e99999999",
+    spell a power of ten with 10**8 digits.
+    """
     match = _RATIONAL_SYNTAX.fullmatch(text)
     try:
         if match is None:
+            exponent = _DECIMAL_EXPONENT.search(text)
+            if exponent is not None:
+                # the same spelling with every exponent digit 0 has the
+                # same syntax, and Fraction() checks it without the power
+                start, end = exponent.span(1)
+                Fraction(text[:start] + re.sub(r"\d", "0", text[start:end]) + text[end:])
+                power = str_to_int(exponent.group(1), name)
+                if power > digit_budget:
+                    raise DigitBudgetError(
+                        f"{name} has decimal exponent {int_to_str(power)}, beyond the "
+                        f"{digit_budget}-digit budget"
+                    )
             return Fraction(text)
         num, den = match.groups()
         return Fraction(str_to_int(num, name), str_to_int(den or "1", name))

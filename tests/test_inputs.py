@@ -1,6 +1,7 @@
 """Inputs at the edges: digit budgets, huge term indices, long numbers on
 the command line, and the failing index in error objects."""
 
+import fractions
 import importlib
 import json
 import math
@@ -137,7 +138,41 @@ def test_parse_rational_accepts_what_fraction_accepts(text):
 
 @given(st.text(alphabet=" +-/_.0123456789eE٣\x1c", max_size=10))
 def test_parse_rational_matches_fraction_on_short_inputs(text):
-    _same_as_fraction(text)
+    # ten characters can spell 10**99999999, which Fraction() would build:
+    # past the budget, parse_rational refuses what Fraction's own grammar
+    # reads as a decimal exponent beyond it, and matches Fraction() below
+    form = fractions._RATIONAL_FORMAT.match(text)
+    if form and form["exp"] and abs(int(form["exp"])) > 1000:
+        with pytest.raises(DigitBudgetError, match="alpha has decimal exponent"):
+            parse_rational(text, "alpha", 1000)
+    else:
+        _same_as_fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e99999999", "-1E-99999999", " 0e1000001 ", "2.5e+1000001"])
+def test_parse_rational_refuses_exponents_beyond_the_budget(text):
+    with pytest.raises(DigitBudgetError, match="beyond the 1000000-digit budget"):
+        parse_rational(text, "alpha")
+
+
+@pytest.mark.parametrize("text", ["1e99999999_", "1e9_9__9", "e99999999", "1/2e99999999"])
+def test_parse_rational_checks_the_syntax_before_the_exponent(text):
+    with pytest.raises(InvalidParameterError, match="cannot parse alpha"):
+        parse_rational(text, "alpha")
+
+
+def test_parse_rational_keeps_exponents_within_the_budget():
+    assert parse_rational("3e1000", "alpha", 1000) == 3 * 10**1000
+    assert parse_rational("5E-003", "alpha", 3) == Fraction(1, 200)
+
+
+def test_cli_refuses_a_short_alpha_with_a_huge_exponent(write_spec, capsys):
+    code = main(["analyze", "--spec", write_spec(P4_OBJ), "--alpha", "1e99999999", "--to", "2",
+                 "--digit-budget", "5000"])
+    assert code == 2
+    err = _error(capsys)
+    assert err["error"] == "digit-budget-exceeded"
+    assert err["message"] == "alpha has decimal exponent 99999999, beyond the 5000-digit budget"
 
 
 def test_parse_rational_reads_long_integers_and_fractions():

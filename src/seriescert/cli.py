@@ -5,10 +5,14 @@ denominator inequalities), certify (witness certificate JSON), measure
 (polynomial bound evidence JSON), search (exhaustive polynomial report),
 term (decimal expansion of a term or a partial sum).
 
-The commands hold no checks of their own. analyze walks the window once:
-one term stream (each a_n built once) and one run of the partial-sum
-step feed the library's per-index predicates. search reads the
-enumeration once, for its CSV rows and its minimum alike.
+One parser, built at import, decides which flags each command needs
+(certify, whose --revalidate lifts them, checks its own) and raises
+InvalidParameterError on a usage error; main() maps every failure to the
+JSON error object. The commands call the library's checks, not copies of
+them. analyze walks the window once: one term stream (each a_n built
+once) and one run of the partial-sum step feed the library's per-index
+predicates. search reads the enumeration once, for its CSV rows and its
+minimum alike.
 
 Exit status contract: 0 all requested checks verified, 1 some check
 failed or stayed inconclusive, 2 invalid input or violated hypothesis.
@@ -26,9 +30,9 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .convergents import _prefix_sums, _tail_shrink, partial_sum
+from .convergents import _prefix_sums, partial_sum, shrink_factor
 from .enclosure import enclose
-from .errors import InvalidParameterError, SeriesCertError
+from .errors import DigitBudgetError, InvalidParameterError, SeriesCertError
 from .measure import (
     PolynomialInt,
     _minimum,
@@ -41,6 +45,8 @@ from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Ordering,
     SequenceSpec,
+    _as_k,
+    _as_positive_fraction,
     _lower_order,
     _upper_holds,
     _window,
@@ -90,9 +96,7 @@ def _error(payload: dict, exit_code: int) -> int:
     return exit_code
 
 
-def _load_spec(path: Optional[str]) -> SequenceSpec:
-    if not path:
-        raise SeriesCertError("--spec is required for this command")
+def _load_spec(path: str) -> SequenceSpec:
     with open(path) as handle:
         return spec_from_obj(json.load(handle))
 
@@ -100,13 +104,9 @@ def _load_spec(path: Optional[str]) -> SequenceSpec:
 @one_pass()
 def _run_analyze(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
-    if config.alpha is None:
-        raise SeriesCertError("--alpha is required for analyze")
-    if config.last is None:
-        raise SeriesCertError("--to is required for analyze")
     budget = config.digit_budget
-    alpha = parse_rational(config.alpha, "alpha", budget)
-    k = parse_rational(config.k, "k", budget) if config.k else None
+    alpha = _as_positive_fraction(parse_rational(config.alpha, "alpha", budget), "alpha")
+    k = _as_k(parse_rational(config.k, "k", budget)) if config.k else None
     first, last = _window(config.first, config.last)
 
     a, s = term_stream(spec, budget), _prefix_sums(spec, budget)
@@ -119,7 +119,7 @@ def _run_analyze(config: argparse.Namespace) -> int:
             "growth": lower is Ordering.GREATER,
             "q_exp_bound": _q_exponent_ok(conv.q, a_n, alpha, budget),
         }
-        shrink = _tail_shrink(n, product, a_next, alpha).log10_approx
+        shrink = shrink_factor(spec, alpha, n, budget).log10_approx
         if k is not None:
             checks["sandwich_lower"] = lower is not Ordering.LESS
             checks["sandwich_upper"] = _upper_holds(a_n, a_next, alpha, k, budget)
@@ -146,11 +146,14 @@ def _run_analyze(config: argparse.Namespace) -> int:
 def _run_certify(config: argparse.Namespace) -> int:
     if config.revalidate:
         return _run_revalidate(config)
+    # the one presence rule the parser cannot hold: --revalidate lifts it
+    given = (("--spec", config.spec_path), ("--alpha", config.alpha), ("--to", config.last))
+    missing = [flag for flag, value in given if value is None]
+    if missing:
+        raise InvalidParameterError(
+            f"seriescert certify: the following arguments are required: {', '.join(missing)}"
+        )
     spec = _load_spec(config.spec_path)
-    if config.alpha is None:
-        raise SeriesCertError("--alpha is required for certify")
-    if config.last is None:
-        raise SeriesCertError("--to is required for certify")
     alpha = parse_rational(config.alpha, "alpha", config.digit_budget)
     cert = certify(spec, alpha, config.first, config.last, config.digit_budget)
     _emit(canonical_dumps(certificate_obj(cert)), config.out)
@@ -183,9 +186,6 @@ def _run_revalidate(config: argparse.Namespace) -> int:
 
 def _run_measure(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
-    for flag, name in ((config.alpha, "--alpha"), (config.k, "--k"), (config.coeffs, "--coeffs")):
-        if flag is None:
-            raise SeriesCertError(f"{name} is required for measure")
     alpha = parse_rational(config.alpha, "alpha", config.digit_budget)
     k = parse_rational(config.k, "k", config.digit_budget)
     poly = PolynomialInt(tuple(str_to_int(c, "coefficient") for c in config.coeffs.split(",")))
@@ -205,8 +205,6 @@ def _run_measure(config: argparse.Namespace) -> int:
 
 def _run_search(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
-    if config.degree is None or config.height is None:
-        raise SeriesCertError("--degree and --height are required for search")
     enc = enclose(spec, config.terms, config.digit_budget)
     brackets = enumerate_brackets(spec, config.degree, config.height, enc, config.enum_cap)
     if config.csv_path:
@@ -240,39 +238,15 @@ def _decimal_expansion(value: Fraction, places: int) -> str:
 
 def _run_term(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
-    if (config.n is None) == (config.m is None):
-        raise SeriesCertError("term needs exactly one of --n or --m")
-    if config.n is not None:
-        _emit(int_to_str(term(spec, config.n, config.digit_budget)) + "\n", config.out)
+    budget = config.digit_budget
+    if config.m is None:  # the parser requires exactly one of --n and --m
+        _emit(int_to_str(term(spec, config.n, budget)) + "\n", config.out)
         return 0
-    value = partial_sum(spec, config.m, config.digit_budget).value
+    if config.digits > budget:
+        raise DigitBudgetError(f"--digits {config.digits} is beyond the {budget}-digit budget")
+    value = partial_sum(spec, config.m, budget).value
     _emit(_decimal_expansion(value, config.digits) + "\n", config.out)
     return 0
-
-
-_HANDLERS = {
-    "analyze": _run_analyze,
-    "certify": _run_certify,
-    "measure": _run_measure,
-    "search": _run_search,
-    "term": _run_term,
-}
-
-
-def run(config: argparse.Namespace) -> int:
-    """Execute one command, mapping every failure to the exit contract."""
-    try:
-        if config.digit_budget < 1:
-            raise InvalidParameterError(
-                f"--digit-budget must be a positive integer, got {config.digit_budget}"
-            )
-        return _HANDLERS[config.command](config)
-    except SeriesCertError as exc:
-        # plus the failing index a HypothesisFailedError (index) or a
-        # WitnessFailedError (m) carries
-        return _error({"error": exc.code, "message": str(exc), **vars(exc)}, exc.exit_code)
-    except (OSError, ValueError) as exc:
-        return _error({"error": "invalid-input", "message": str(exc)}, 2)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,59 +258,64 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(f"{self.prog}: {message}")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--spec", dest="spec_path", help="path to a sequence spec JSON file")
+def _command(commands, name: str, run, help: str, spec_required: bool = True):
+    """A subcommand parser that runs run(config), with the common flags."""
+    sub = commands.add_parser(name, help=help)
+    sub.set_defaults(run=run)
+    sub.add_argument("--spec", dest="spec_path", required=spec_required,
+                     help="path to a sequence spec JSON file")
     sub.add_argument("--digit-budget", dest="digit_budget", type=int,
                      default=DEFAULT_DIGIT_BUDGET,
                      help="max decimal digits any exact integer may reach")
     sub.add_argument("--out", help="write output here instead of stdout")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; it alone decides which flags must
+    be given (certify, where --revalidate lifts them, excepted)."""
     parser = _Parser(
         prog="seriescert",
         description="exact checks for unit-fraction series with fast-growing terms",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    analyze = commands.add_parser(
-        "analyze", help="per-index CSV of growth, sandwich, and denominator checks"
-    )
-    _add_common(analyze)
-    analyze.add_argument("--alpha", help="exponent as p/q")
+    analyze = _command(commands, "analyze", _run_analyze,
+                       "per-index CSV of growth, sandwich, and denominator checks")
+    analyze.add_argument("--alpha", required=True, help="exponent as p/q")
     analyze.add_argument("--k", help="sandwich upper ratio as p/q")
     analyze.add_argument("--from", dest="first", type=int, default=1)
-    analyze.add_argument("--to", dest="last", type=int)
+    analyze.add_argument("--to", dest="last", type=int, required=True)
     analyze.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
-    cert = commands.add_parser("certify", help="emit a witness certificate")
-    _add_common(cert)
+    cert = _command(commands, "certify", _run_certify, "emit a witness certificate",
+                    spec_required=False)
     cert.add_argument("--alpha", help="exponent as p/q")
     cert.add_argument("--from", dest="first", type=int, default=1)
     cert.add_argument("--to", dest="last", type=int)
     cert.add_argument("--revalidate", help="recompute a stored certificate and compare bytes")
 
-    measure = commands.add_parser("measure", help="verify the polynomial bound")
-    _add_common(measure)
-    measure.add_argument("--alpha", help="exponent as p/q")
-    measure.add_argument("--k", help="sandwich upper ratio as p/q")
-    measure.add_argument("--coeffs", help="comma-separated integer coefficients, constant first")
+    measure = _command(commands, "measure", _run_measure, "verify the polynomial bound")
+    measure.add_argument("--alpha", required=True, help="exponent as p/q")
+    measure.add_argument("--k", required=True, help="sandwich upper ratio as p/q")
+    measure.add_argument("--coeffs", required=True,
+                         help="comma-separated integer coefficients, constant first")
     measure.add_argument("--degree", type=int, help="declared degree of the polynomial class")
     measure.add_argument("--height", type=int, help="declared height of the polynomial class")
     measure.add_argument("--max-refine", dest="max_refine", type=int, default=8)
 
-    search = commands.add_parser("search", help="exhaustive minimum over small polynomials")
-    _add_common(search)
-    search.add_argument("--degree", type=int)
-    search.add_argument("--height", type=int)
+    search = _command(commands, "search", _run_search,
+                      "exhaustive minimum over small polynomials")
+    search.add_argument("--degree", type=int, required=True)
+    search.add_argument("--height", type=int, required=True)
     search.add_argument("--terms", type=int, default=4, help="enclosure depth in series terms")
     search.add_argument("--enum-cap", dest="enum_cap", type=int, default=10**6)
     search.add_argument("--csv", dest="csv_path", help="also write per-polynomial rows here")
 
-    term_cmd = commands.add_parser("term", help="print a term or a partial sum in decimal")
-    _add_common(term_cmd)
-    term_cmd.add_argument("--n", type=int, help="term index to print")
-    term_cmd.add_argument("--m", type=int, help="partial-sum index to print")
+    term_cmd = _command(commands, "term", _run_term, "print a term or a partial sum in decimal")
+    index = term_cmd.add_mutually_exclusive_group(required=True)
+    index.add_argument("--n", type=int, help="term index to print")
+    index.add_argument("--m", type=int, help="partial-sum index to print")
     term_cmd.add_argument("--digits", type=int, default=50,
                           help="fractional digits for partial sums (truncated)")
 
@@ -354,14 +333,26 @@ def _normalize(argv: list[str]) -> list[str]:
     return out
 
 
+# built once, at import: each main() call only parses
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    """Run one command. Usage errors and command failures alike end in one
+    JSON error object on stderr, with the exit status of the contract."""
     try:
-        config = build_parser().parse_args(_normalize(argv))
-    except InvalidParameterError as exc:
-        return _error({"error": exc.code, "message": str(exc)}, exc.exit_code)
-    return run(config)
+        config = _PARSER.parse_args(_normalize(sys.argv[1:] if argv is None else argv))
+        if config.digit_budget < 1:
+            raise InvalidParameterError(
+                f"--digit-budget must be a positive integer, got {config.digit_budget}"
+            )
+        return config.run(config)
+    except SeriesCertError as exc:
+        # plus the failing index a HypothesisFailedError (index) or a
+        # WitnessFailedError (m) carries
+        return _error({"error": exc.code, "message": str(exc), **vars(exc)}, exc.exit_code)
+    except (OSError, ValueError) as exc:
+        return _error({"error": "invalid-input", "message": str(exc)}, 2)
 
 
 if __name__ == "__main__":

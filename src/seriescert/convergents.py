@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from typing import Callable, Iterator, Optional, Union
 
 from .errors import ExactnessError, InvalidParameterError, NotFoundInWindowError
@@ -44,6 +43,7 @@ from .sequences import (
     SequenceSpec,
     _as_positive_fraction,
     _compare_products,
+    _decimal,
     _pass_memo,
     _times,
     _window,
@@ -114,10 +114,10 @@ def _add_term(
         reduced = (p | q) & 1 and math.gcd(odd_p, odd_q) == 1
     product = _times(product, a)
     if not reduced:
-        raise ExactnessError(f"partial sum at m={m} is not reduced: {p}/{q}")
+        raise ExactnessError(f"partial sum at m={m} is not reduced: {_decimal(p)}/{_decimal(q)}")
     if q > product:
         raise ExactnessError(
-            f"denominator bound violated at m={m}: q={q} exceeds term product"
+            f"denominator bound violated at m={m}: q={_decimal(q)} exceeds term product"
         )
     return Convergent(m=m, p=p, q=q), product
 
@@ -140,13 +140,6 @@ def _prefix_sums(
         return built[m]
 
     return s
-
-
-def _tail_shrink(n: int, product: int, next_term: int, alpha: Fraction) -> TailShrink:
-    log10_approx = float(alpha) * math.log10(product) - math.log10(next_term)
-    return TailShrink(
-        n=n, product=product, next_term=next_term, alpha=alpha, log10_approx=log10_approx
-    )
 
 
 def convergent_range(
@@ -185,13 +178,15 @@ def shrink_factor(
     n: int,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> TailShrink:
-    """Build (a_1...a_n)^alpha / a_{n+1} in exact form."""
+    """Build (a_1...a_n)^alpha / a_{n+1} in exact form, with the product
+    taken from the partial-sum step."""
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {n}")
     alpha = _as_positive_fraction(alpha, "alpha")
-    a = term_stream(spec, digit_budget)
-    product = reduce(_times, (a(i) for i in range(1, n + 1)), 1)
-    return _tail_shrink(n, product, a(n + 1), alpha)
+    product = _prefix_sums(spec, digit_budget)(n)[1]
+    next_term = term_stream(spec, digit_budget)(n + 1)
+    log10_approx = float(alpha) * math.log10(product) - math.log10(next_term)
+    return TailShrink(n, product, next_term, alpha, log10_approx)
 
 
 def shrink_less_than(

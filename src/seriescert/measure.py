@@ -40,6 +40,7 @@ from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Ordering,
     SequenceSpec,
+    _as_k,
     _as_positive_fraction,
     _budget_check,
     _compare_products,
@@ -225,9 +226,7 @@ def q_growth_holds(
 ) -> bool:
     """Exact check q_{n+1} < q_n^(k*(alpha+1))."""
     alpha = _as_positive_fraction(alpha, "alpha")
-    k = _as_positive_fraction(k, "k")
-    if k <= 1:
-        raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
+    k = _as_k(k)
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {n}")
     s = _prefix_sums(spec, digit_budget)
@@ -375,22 +374,27 @@ def enumerate_brackets(
     enc: Enclosure,
     enumeration_cap: int = 10**6,
 ) -> Iterator[tuple[tuple[int, ...], Fraction, Fraction]]:
-    """Yield (coefficient vector, |P| lower, |P| upper) for every nonzero
+    """(coefficient vector, |P| lower, |P| upper) for every nonzero
     polynomial with degree <= d and height <= H, in ascending
-    lexicographic order of the vector (constant coefficient first)."""
+    lexicographic order of the vector (constant coefficient first).
+
+    The class, the enclosure and the size are checked at the call; the
+    brackets are made as they are read."""
     _check_class(d, H, 1)
     if spec_fingerprint(spec) != enc.fingerprint:
         raise SpecMismatchError("enclosure was built from a different sequence")
-    size = (2 * H + 1) ** (d + 1) - 1
-    if size > enumeration_cap:
+    base, exp = 2 * H + 1, d + 1
+    # the count base**exp - 1 is at least 2**bits - 1: past the cap's bit
+    # length (and 64 bits) it exceeds the cap, and is neither built nor spelled
+    bits = (base.bit_length() - 1) * exp
+    huge = bits > max(enumeration_cap.bit_length(), 64)
+    if huge or base**exp - 1 > enumeration_cap:
+        count = f"{_decimal(base)}^{_decimal(exp)} - 1" if huge else _decimal(base**exp - 1)
         raise EnumerationTooLargeError(
-            f"enumeration of {size} polynomials exceeds the cap {enumeration_cap}"
+            f"enumeration of {count} polynomials exceeds the cap {_decimal(enumeration_cap)}"
         )
-    for vec in itertools.product(range(-H, H + 1), repeat=d + 1):
-        if all(c == 0 for c in vec):
-            continue
-        low, high = abs_bracket(PolynomialInt(vec), enc)
-        yield vec, low, high
+    vectors = itertools.product(range(-H, H + 1), repeat=exp)
+    return ((vec, *abs_bracket(PolynomialInt(vec), enc)) for vec in vectors if any(vec))
 
 
 def _minimum(

@@ -73,6 +73,14 @@ def _as_positive_fraction(value: Union[Fraction, int, str], name: str) -> Fracti
     return f
 
 
+def _as_k(value: Union[Fraction, int, str]) -> Fraction:
+    """The sandwich ratio k, which must exceed 1."""
+    k = _as_positive_fraction(value, "k")
+    if k <= 1:
+        raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
+    return k
+
+
 def _decimal(value) -> str:
     """``str(value)``, at any size for an int or a Fraction, for error
     messages."""
@@ -499,9 +507,7 @@ def check_sandwich(
     required by the measure bound.
     """
     alpha = _as_positive_fraction(alpha, "alpha")
-    k = _as_positive_fraction(k, "k")
-    if k <= 1:
-        raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
+    k = _as_k(k)
     first, last = _window(first, last)
     return _window_report(spec, alpha, k, first, last, digit_budget)
 

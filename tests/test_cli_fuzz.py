@@ -1,0 +1,95 @@
+"""Random command lines end in exit 0, 1 or 2, with nothing on stderr or
+exactly one JSON error object carrying a known code.
+
+Hypothesis draws, for each subcommand, every flag as absent or as a
+value from a pool of typical values and extremes (-1, 0, 10^9, -5/2,
+1/2, 7/0, "1,x"), over three specs and the digit budgets 1, 50 and 2000.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seriescert import errors
+from seriescert.cli import main
+
+CODES = {
+    cls.code
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.SeriesCertError)
+} - {"error"} | {"invalid-input", "revalidation-mismatch"}
+def values(typical, extremes=("-1", "0", "1000000000", "-5/2", "1/2", "7/0", "1,x"), absent=1):
+    """Mostly typical values (listed three times), sometimes an extreme one,
+    and None (the flag left out) absent times."""
+    return st.sampled_from(list(typical) * 3 + list(extremes) + [None] * absent)
+
+
+INT_EXTREMES = ["-1", "0", "1000000000", "1,x"]
+INTS = values(["1", "2", "3"], INT_EXTREMES)
+INDEX = values(["1", "2", "3"], INT_EXTREMES, absent=13)  # --n, --m: one is required
+SPECS = {
+    "p4": {"family": "power", "a1": "2", "e": "4"},
+    "factorial": {"family": "factorialExp", "base": "2", "offset": "1"},
+    "explicit": {"family": "explicit", "terms": ["2", "5", "31"]},
+}
+FLAGS = {
+    "analyze": {"--alpha": values(["5/2", "3", "3/2"]), "--k": values(["2", "3/2"]),
+                "--from": INTS, "--to": INTS, "--format": st.sampled_from(["csv", "json", None])},
+    "certify": {"--alpha": values(["5/2", "3"]), "--from": INTS, "--to": INTS,
+                "--revalidate": st.sampled_from(["cert.json", "p4.json", "absent.json", None, None, None])},
+    "measure": {"--alpha": values(["3", "5/2"]), "--k": values(["3/2", "2"]),
+                "--coeffs": values(["-1,1,1", "1,1", "0,1", "1,-1,2"]),
+                "--degree": INTS, "--height": INTS, "--max-refine": INTS},
+    "search": {"--degree": INTS, "--height": INTS, "--terms": INTS, "--enum-cap": INTS,
+               "--csv": st.sampled_from(["rows.csv", None])},
+    "term": {"--n": INDEX, "--m": INDEX, "--digits": INTS},
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, obj in SPECS.items():
+        (path / f"{name}.json").write_text(json.dumps(obj))
+    argv = ["certify", "--spec", str(path / "p4.json"), "--alpha", "5/2", "--to", "3",
+            "--out", str(path / "cert.json")]
+    assert main(argv) == 0
+    return path
+
+
+@st.composite
+def command_lines(draw, command):
+    flags = {
+        "--spec": draw(st.sampled_from([f"{name}.json" for name in SPECS] * 3 + [None])),
+        "--digit-budget": draw(st.sampled_from(["1", "50", "2000"])),
+    }
+    flags.update((flag, draw(strategy)) for flag, strategy in FLAGS[command].items())
+    return [command] + [item for flag, value in flags.items() if value is not None
+                        for item in (flag, value)]
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_every_command_line_ends_in_the_exit_contract(command, workdir):
+    paths = {"--spec", "--revalidate", "--csv"}
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(command_lines(command))
+    def check(argv):
+        argv = [str(workdir / arg) if flag in paths else arg
+                for flag, arg in zip([""] + argv, argv)]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if err.getvalue():
+            obj = json.loads(err.getvalue())  # exactly one JSON document
+            assert isinstance(obj, dict) and obj["error"] in CODES, obj
+            message = obj.get("message", "")
+            assert "integer string conversion" not in message, obj
+            assert "int_max_str_digits" not in message, obj
+
+    check()

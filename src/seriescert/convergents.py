@@ -48,6 +48,7 @@ from .sequences import (
     _times,
     _window,
     checked_pow,
+    exponent_form,
     one_pass,
     term_stream,
 )
@@ -108,10 +109,7 @@ def _add_term(
         t = conv.p * (a // g) + s
         g2 = math.gcd(t, g)
         p, q = t // g2, s * (a // g2)
-        # gcd(p, q) == 1 decided on the odd parts, so that a power-of-two q
-        # (every series with a_1 = 2^k) needs no gcd
-        odd_p, odd_q = p >> (p & -p).bit_length() - 1, q >> (q & -q).bit_length() - 1
-        reduced = (p | q) & 1 and math.gcd(odd_p, odd_q) == 1
+        reduced = math.gcd(p, q) == 1
     product = _times(product, a)
     if not reduced:
         raise ExactnessError(f"partial sum at m={m} is not reduced: {_decimal(p)}/{_decimal(q)}")
@@ -134,9 +132,11 @@ def _prefix_sums(
         while len(built) <= m:
             n = len(built)
             conv, product = built[-1]
-            a_n = a(n)
-            link = (a(n - 1), a.form(n - 1), a.form(n)) if n > 1 else None
-            built.append(_add_term(conv, product, a_n, link, digit_budget))
+            link = None
+            if n > 1:
+                forms = (exponent_form(spec, i, digit_budget) for i in (n - 1, n))
+                link = (a(n - 1), *forms)
+            built.append(_add_term(conv, product, a(n), link, digit_budget))
         return built[m]
 
     return s

@@ -80,24 +80,14 @@ def tail_bound(
     return Fraction(2, term_stream(spec, digit_budget)(m + 1))
 
 
-def _enclosure(spec: SequenceSpec, m: int, digit_budget: int, fingerprint: str) -> Enclosure:
-    tail = tail_bound(spec, m, digit_budget)
-    lo = partial_sum(spec, m, digit_budget).value
-    return Enclosure(lo=lo, hi=lo + tail, terms_used=m, fingerprint=fingerprint)
-
-
-def _nested(enc: Enclosure, better: Enclosure) -> Enclosure:
-    """better, once checked to be strictly narrower and nested in enc."""
-    if not (enc.lo <= better.lo and better.hi <= enc.hi and better.width < enc.width):
-        raise ExactnessError("refined enclosure failed to nest")
-    return better
-
-
 def enclose(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
     """Enclosure from the first m terms plus the certified tail."""
-    return _enclosure(spec, m, digit_budget, spec_fingerprint(spec))
+    fingerprint = spec_fingerprint(spec)
+    tail = tail_bound(spec, m, digit_budget)
+    lo = partial_sum(spec, m, digit_budget).value
+    return Enclosure(lo=lo, hi=lo + tail, terms_used=m, fingerprint=fingerprint)
 
 
 def refine(
@@ -106,4 +96,7 @@ def refine(
     """One more term: a strictly narrower enclosure nested in enc."""
     if enc.fingerprint != spec_fingerprint(spec):
         raise SpecMismatchError("enclosure was built from a different sequence")
-    return _nested(enc, enclose(spec, enc.terms_used + 1, digit_budget))
+    better = enclose(spec, enc.terms_used + 1, digit_budget)
+    if not (enc.lo <= better.lo and better.hi <= enc.hi and better.width < enc.width):
+        raise ExactnessError("refined enclosure failed to nest")
+    return better

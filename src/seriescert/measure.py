@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from .convergents import _prefix_sums, convergent_range, partial_sum
-from .enclosure import Enclosure, _enclosure, _nested, tail_bound
+from .enclosure import Enclosure, enclose, refine, tail_bound
 from .errors import (
     EnumerationTooLargeError,
     InconclusiveError,
@@ -45,7 +45,7 @@ from .sequences import (
     _budget_check,
     _compare_products,
     _decimal,
-    _window_report,
+    check_sandwich,
     compare_power,
     one_pass,
     term_stream,
@@ -288,7 +288,7 @@ def _require_sandwich(
     last: int,
     digit_budget: int,
 ) -> None:
-    failures = _window_report(spec, alpha, k, first, last, digit_budget).failures()
+    failures = check_sandwich(spec, alpha, k, first, last, digit_budget).failures()
     if failures:
         raise InvalidParameterError(
             f"sandwich hypothesis violated at n={failures[0]}"
@@ -343,8 +343,7 @@ def verify_measure(
         m0 += 1
     _require_sandwich(spec, alpha, k, 1, m0 + 1, digit_budget)
 
-    fingerprint = spec_fingerprint(spec)
-    enc = _enclosure(spec, m0, digit_budget, fingerprint)
+    enc = enclose(spec, m0, digit_budget)
     refinements = 0
     while True:
         low = abs_lower_bound(P, enc)
@@ -361,10 +360,10 @@ def verify_measure(
             raise InconclusiveError(
                 f"comparison still undecided after {refinements} refinements"
             )
-        m = enc.terms_used + 1
-        enc = _nested(enc, _enclosure(spec, m, digit_budget, fingerprint))
+        enc = refine(spec, enc, digit_budget)
         refinements += 1
-        _require_sandwich(spec, alpha, k, m + 1, m + 1, digit_budget)
+        n = enc.terms_used + 1
+        _require_sandwich(spec, alpha, k, n, n, digit_budget)
 
 
 def enumerate_brackets(

@@ -28,11 +28,10 @@ Every family but ``Explicit`` has a_n = b**E_n with E_n increasing in n
 power, and :func:`term` is that form plus one :func:`checked_pow`; an
 explicit term t has the form (t, 1).
 
-Checks read terms through a term stream (:func:`term_stream`), which
-builds each a_n once, on first use, and hands its exponent form to the
-partial-sum step.  Inside :func:`one_pass` all streams of one spec share
-their terms, so a public helper called by another reads the terms its
-caller has already built.
+Checks read terms through :func:`term_stream`, a function that returns
+the memoized map n -> a_n: each a_n is built once, on first use.  Inside
+:func:`one_pass` all streams of one spec share their terms, so a public
+helper called by another reads the terms its caller has already built.
 """
 
 from __future__ import annotations
@@ -361,30 +360,19 @@ def _pass_memo(key: tuple, make: Callable[[], object]):
     return open_pass[key]
 
 
-class TermStream:
-    """The terms of a spec as a function n -> a_n that builds each term
-    once, and their exponent forms (:func:`exponent_form`)."""
+def term_stream(
+    spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> Callable[[int], int]:
+    """n -> a_n, each term built once (within a pass, once for every
+    stream of the spec)."""
+    built = _pass_memo(("terms", spec, digit_budget), dict)
 
-    def __init__(self, spec: SequenceSpec, digit_budget: int):
-        self.spec, self.digit_budget = spec, digit_budget
-        self.built = _pass_memo(("terms", spec, digit_budget), dict)
-        self.forms = _pass_memo(("forms", spec, digit_budget), dict)
+    def a(n: int) -> int:
+        if n not in built:
+            built[n] = term(spec, n, digit_budget)
+        return built[n]
 
-    def __call__(self, n: int) -> int:
-        if n not in self.built:
-            self.built[n] = term(self.spec, n, self.digit_budget)
-        return self.built[n]
-
-    def form(self, n: int) -> tuple[int, int]:
-        """(b, E) with a_n = b**E, each worked out once."""
-        if n not in self.forms:
-            self.forms[n] = exponent_form(self.spec, n, self.digit_budget)
-        return self.forms[n]
-
-
-def term_stream(spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> TermStream:
-    """The terms of spec, each built once; see :class:`TermStream`."""
-    return TermStream(spec, digit_budget)
+    return a
 
 
 def compare_power(

@@ -96,9 +96,17 @@ def _error(payload: dict, exit_code: int) -> int:
     return exit_code
 
 
+def _decode(text: str):
+    """json.loads, with nesting too deep for the decoder as invalid input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nesting too deep to decode") from None
+
+
 def _load_spec(path: str) -> SequenceSpec:
     with open(path) as handle:
-        return spec_from_obj(json.load(handle))
+        return spec_from_obj(_decode(handle.read()))
 
 
 @one_pass()
@@ -163,7 +171,7 @@ def _run_certify(config: argparse.Namespace) -> int:
 def _run_revalidate(config: argparse.Namespace) -> int:
     with open(config.revalidate) as handle:
         original = handle.read()
-    obj = json.loads(original)
+    obj = _decode(original)
     if not isinstance(obj, dict):
         raise InvalidParameterError("certificate must be a JSON object")
     spec = spec_from_obj(require_key(obj, "spec", "certificate"))

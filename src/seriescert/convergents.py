@@ -147,7 +147,7 @@ def convergent_range(
 ) -> Iterator[Convergent]:
     """Yield the convergents for m = 1..last, computed incrementally."""
     if last < 1:
-        raise InvalidParameterError(f"range end must be >= 1, got {last}")
+        raise InvalidParameterError(f"range end must be >= 1, got {_decimal(last)}")
     s = _prefix_sums(spec, digit_budget)
     for m in range(1, last + 1):
         yield s(m)[0]
@@ -158,7 +158,7 @@ def partial_sum(
 ) -> Convergent:
     """Exact reduced partial sum over terms 1..m (m = 0 gives 0/1)."""
     if m < 0:
-        raise InvalidParameterError(f"partial sum index must be >= 0, got {m}")
+        raise InvalidParameterError(f"partial sum index must be >= 0, got {_decimal(m)}")
     return _prefix_sums(spec, digit_budget)(m)[0]
 
 
@@ -167,7 +167,7 @@ def denominator_bound_holds(
 ) -> bool:
     """Exact check q_m <= a_1 a_2 ... a_m."""
     if m < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {m}")
+        raise InvalidParameterError(f"index must be >= 1, got {_decimal(m)}")
     conv, product = _prefix_sums(spec, digit_budget)(m)
     return conv.q <= product
 
@@ -181,12 +181,15 @@ def shrink_factor(
     """Build (a_1...a_n)^alpha / a_{n+1} in exact form, with the product
     taken from the partial-sum step."""
     if n < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {n}")
+        raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     alpha = _as_positive_fraction(alpha, "alpha")
     product = _prefix_sums(spec, digit_budget)(n)[1]
     next_term = term_stream(spec, digit_budget)(n + 1)
-    log10_approx = float(alpha) * math.log10(product) - math.log10(next_term)
-    return TailShrink(n, product, next_term, alpha, log10_approx)
+    try:
+        scaled = float(alpha) * math.log10(product)
+    except OverflowError:  # alpha beyond float range; a product of 1 adds 0
+        scaled = 0.0 if product == 1 else math.inf
+    return TailShrink(n, product, next_term, alpha, scaled - math.log10(next_term))
 
 
 def shrink_less_than(
@@ -249,5 +252,6 @@ def effective_start(
         if shrink_less_than(shrink_factor(spec, alpha, m, digit_budget), threshold, digit_budget):
             return m
     raise NotFoundInWindowError(
-        f"no index in {first}..{last} brings the shrink factor below 1/(1+theta)"
+        f"no index in {_decimal(first)}..{_decimal(last)} brings the shrink factor "
+        "below 1/(1+theta)"
     )

@@ -22,6 +22,7 @@ from .sequences import (
     PowerRecurrence,
     SequenceSpec,
     Subseries,
+    _decimal,
     term_stream,
 )
 from .serialize import spec_fingerprint
@@ -72,7 +73,7 @@ def tail_bound(
 ) -> Fraction:
     """Certified upper bound 2/a_{m+1} for the tail past index m."""
     if m < 0:
-        raise InvalidParameterError(f"index must be >= 0, got {m}")
+        raise InvalidParameterError(f"index must be >= 0, got {_decimal(m)}")
     if not has_tail_guarantee(spec):
         raise NoTailGuaranteeError(
             "sequence family offers no doubling guarantee beyond its known terms"

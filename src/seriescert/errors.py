@@ -61,7 +61,8 @@ class NotFoundBelowNMaxError(SeriesCertError):
 
 
 class EnumerationTooLargeError(SeriesCertError):
-    """The polynomial enumeration would exceed the configured cap."""
+    """The polynomial enumeration would exceed the configured cap, or a
+    walk would build more than ``sequences.MAX_TERMS`` terms."""
 
     code = "enumeration-too-large"
 

@@ -158,9 +158,11 @@ class BruteForceResult:
 
 def _check_class(d: int, H: int, min_degree: int) -> None:
     if d < min_degree:
-        raise InvalidParameterError(f"degree must be at least {min_degree}, got {d}")
+        raise InvalidParameterError(
+            f"degree must be at least {_decimal(min_degree)}, got {_decimal(d)}"
+        )
     if H < 1:
-        raise InvalidParameterError(f"height must be at least 1, got {H}")
+        raise InvalidParameterError(f"height must be at least 1, got {_decimal(H)}")
 
 
 def bound(
@@ -175,7 +177,7 @@ def bound(
     _check_class(d, H, 2)
     if alpha <= d:
         raise InvalidParameterError(
-            f"exponent alpha={_decimal(alpha)} must exceed the degree {d}"
+            f"exponent alpha={_decimal(alpha)} must exceed the degree {_decimal(d)}"
         )
     if k <= 1:
         raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
@@ -212,7 +214,7 @@ def qn_exponent_bound_holds(
     """Exact check q_n <= a_n^((alpha+1)/alpha)."""
     alpha = _as_positive_fraction(alpha, "alpha")
     if n < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {n}")
+        raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     q = partial_sum(spec, n, digit_budget).q
     return _q_exponent_ok(q, term_stream(spec, digit_budget)(n), alpha, digit_budget)
 
@@ -228,7 +230,7 @@ def q_growth_holds(
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_k(k)
     if n < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {n}")
+        raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     s = _prefix_sums(spec, digit_budget)
     return _q_growth_ok(s(n)[0].q, s(n + 1)[0].q, alpha, k, digit_budget)
 
@@ -249,10 +251,10 @@ def find_n1(
     alpha = _as_positive_fraction(alpha, "alpha")
     _check_class(d, H, 1)
     if n_max < 1:
-        raise InvalidParameterError(f"search cutoff must be >= 1, got {n_max}")
+        raise InvalidParameterError(f"search cutoff must be >= 1, got {_decimal(n_max)}")
     if alpha <= d:
         raise InvalidParameterError(
-            f"exponent alpha={_decimal(alpha)} must exceed the degree {d}"
+            f"exponent alpha={_decimal(alpha)} must exceed the degree {_decimal(d)}"
         )
     threshold = H * d * (d + 1)
     diff = alpha - d
@@ -263,7 +265,7 @@ def find_n1(
         if order is Ordering.GREATER:
             return N1Result(n1=conv.m, q_at_n1=conv.q, threshold_value=threshold)
     raise NotFoundBelowNMaxError(
-        f"no index up to {n_max} clears the threshold {threshold}"
+        f"no index up to {_decimal(n_max)} clears the threshold {_decimal(threshold)}"
     )
 
 

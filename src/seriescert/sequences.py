@@ -47,6 +47,7 @@ from typing import Callable, Optional, Union
 
 from .errors import (
     DigitBudgetError,
+    EnumerationTooLargeError,
     IndexOutOfRangeError,
     InvalidIndexMapError,
     InvalidParameterError,
@@ -55,6 +56,11 @@ from .errors import (
 #: Default cap on the size of any exact integer produced, in decimal digits.
 #: Exceeding the cap raises DigitBudgetError; results are never truncated.
 DEFAULT_DIGIT_BUDGET = 10**6
+
+#: Most terms of one spec a term stream builds (in a pass, all its streams
+#: together). Growing terms meet the digit budget long before; this stops
+#: walks over terms that never grow (a1 = 1), such as a window to 10**9.
+MAX_TERMS = 10**4
 
 
 class Ordering(IntEnum):
@@ -196,13 +202,13 @@ class ExplicitIndices:
         for a, b in zip(self.indices, self.indices[1:]):
             if b <= a:
                 raise InvalidIndexMapError(
-                    f"index list not strictly increasing at {a} -> {b}"
+                    f"index list not strictly increasing at {_decimal(a)} -> {_decimal(b)}"
                 )
 
     def apply(self, n: int) -> int:
         if n > len(self.indices):
             raise IndexOutOfRangeError(
-                f"index map has {len(self.indices)} entries, asked for {n}"
+                f"index map has {len(self.indices)} entries, asked for {_decimal(n)}"
             )
         return self.indices[n - 1]
 
@@ -212,7 +218,7 @@ IndexMap = Union[Affine, ExplicitIndices]
 
 def _check_offset(start_offset: int) -> None:
     if start_offset < 1:
-        raise InvalidParameterError(f"start_offset must be >= 1, got {start_offset}")
+        raise InvalidParameterError(f"start_offset must be >= 1, got {_decimal(start_offset)}")
 
 
 @dataclass(frozen=True)
@@ -369,6 +375,8 @@ def term_stream(
 
     def a(n: int) -> int:
         if n not in built:
+            if len(built) == MAX_TERMS:
+                raise EnumerationTooLargeError(f"walk over more than {MAX_TERMS} terms")
             built[n] = term(spec, n, digit_budget)
         return built[n]
 
@@ -425,7 +433,9 @@ class GrowthReport:
 
 def _window(first: int, last: int) -> tuple[int, int]:
     if first < 1 or last < first:
-        raise InvalidParameterError(f"window {first}..{last} is empty or invalid")
+        raise InvalidParameterError(
+            f"window {_decimal(first)}..{_decimal(last)} is empty or invalid"
+        )
     return (first, last)
 
 

@@ -48,6 +48,11 @@ _INT_TO_STR_CUTOVER_BITS = 2048  # 2**2048 < 10**617
 _STR_FASTER_BELOW_BITS = 48_000
 _STR_TO_INT_CUTOVER_CHARS = 640
 
+#: Deepest ``subseries`` nesting a decoded spec may have. The helpers that
+#: walk a spec (hashing, encoding, term lookup) recurse once per level, and
+#: a few hundred levels exhaust the interpreter's recursion limit.
+MAX_SPEC_DEPTH = 100
+
 # int(text, 10) accepts this grammar: \d and \s are Unicode-aware as in
 # int(), which strips all whitespace but \x1c-\x1f.
 _INT_SYNTAX = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
@@ -305,6 +310,8 @@ def _index_map_from_obj(obj: Any) -> IndexMap:
         )
     if obj["kind"] == "explicit":
         indices = require_key(obj, "indices", "index map")
+        if not isinstance(indices, list):
+            raise InvalidParameterError("index map indices must be a JSON array")
         return ExplicitIndices(tuple(str_to_int(i, "index") for i in indices))
     raise InvalidParameterError(f"unknown index map kind {obj['kind']!r}")
 
@@ -326,11 +333,12 @@ def spec_obj(spec: SequenceSpec) -> dict:
     return body | {"startOffset": spec.start_offset}
 
 
-def spec_from_obj(obj: Any) -> SequenceSpec:
+def spec_from_obj(obj: Any, depth: int = 0) -> SequenceSpec:
+    """The spec obj encodes; depth is the number of subseries around obj."""
     if not isinstance(obj, dict) or "family" not in obj:
         raise InvalidParameterError("spec must be an object with a 'family'")
     offset = obj.get("startOffset", 1)
-    if not isinstance(offset, int):
+    if type(offset) is not int:  # a JSON true is a Python int too
         raise InvalidParameterError("startOffset must be a JSON integer")
     family = obj["family"]
     if family == "power":
@@ -346,13 +354,18 @@ def spec_from_obj(obj: Any) -> SequenceSpec:
             start_offset=offset,
         )
     if family == "explicit":
+        terms = require_key(obj, "terms", "spec")
+        if not isinstance(terms, list):
+            raise InvalidParameterError("explicit terms must be a JSON array")
         return Explicit(
-            terms=tuple(str_to_int(t, "term") for t in require_key(obj, "terms", "spec")),
+            terms=tuple(str_to_int(t, "term") for t in terms),
             start_offset=offset,
         )
     if family == "subseries":
+        if depth >= MAX_SPEC_DEPTH:
+            raise InvalidParameterError(f"subseries nested more than {MAX_SPEC_DEPTH} levels deep")
         return Subseries(
-            inner=spec_from_obj(require_key(obj, "inner", "spec")),
+            inner=spec_from_obj(require_key(obj, "inner", "spec"), depth + 1),
             index_map=_index_map_from_obj(require_key(obj, "indexMap", "spec")),
             start_offset=offset,
         )

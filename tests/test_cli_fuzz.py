@@ -3,7 +3,10 @@ exactly one JSON error object carrying a known code.
 
 Hypothesis draws, for each subcommand, every flag as absent or as a
 value from a pool of typical values and extremes (-1, 0, 10^9, -5/2,
-1/2, 7/0, "1,x"), over three specs and the digit budgets 1, 50 and 2000.
+1/2, 7/0, "1,x", and 1e400 for --alpha), over the digit budgets 1, 50
+and 2000 and a pool of specs: four well-formed ones (a1 = 1 among them)
+and malformed ones (string terms, a boolean startOffset, subseries
+nested 700 deep, an index list that decreases after a 5000-digit index).
 """
 
 import io
@@ -31,17 +34,35 @@ def values(typical, extremes=("-1", "0", "1000000000", "-5/2", "1/2", "7/0", "1,
 INT_EXTREMES = ["-1", "0", "1000000000", "1,x"]
 INTS = values(["1", "2", "3"], INT_EXTREMES)
 INDEX = values(["1", "2", "3"], INT_EXTREMES, absent=13)  # --n, --m: one is required
+ALPHAS = ("-1", "0", "1000000000", "-5/2", "1/2", "7/0", "1,x", "1e400")
+P4 = {"family": "power", "a1": "2", "e": "4"}
+
+
+def nested(depth):
+    spec = P4
+    for _ in range(depth):
+        index_map = {"kind": "affine", "s": "1", "t": "0"}
+        spec = {"family": "subseries", "inner": spec, "indexMap": index_map}
+    return spec
+
+
 SPECS = {
-    "p4": {"family": "power", "a1": "2", "e": "4"},
+    "p4": P4,
     "factorial": {"family": "factorialExp", "base": "2", "offset": "1"},
     "explicit": {"family": "explicit", "terms": ["2", "5", "31"]},
+    "a1-one": {"family": "power", "a1": "1", "e": "2"},
+    "string-terms": {"family": "explicit", "terms": "12"},
+    "bool-offset": {"family": "power", "a1": "2", "e": "4", "startOffset": True},
+    "deep": nested(700),
+    "huge-indices": {"family": "subseries", "inner": P4,
+                     "indexMap": {"kind": "explicit", "indices": ["5", "9" * 5000, "3"]}},
 }
 FLAGS = {
-    "analyze": {"--alpha": values(["5/2", "3", "3/2"]), "--k": values(["2", "3/2"]),
+    "analyze": {"--alpha": values(["5/2", "3", "3/2"], ALPHAS), "--k": values(["2", "3/2"]),
                 "--from": INTS, "--to": INTS, "--format": st.sampled_from(["csv", "json", None])},
-    "certify": {"--alpha": values(["5/2", "3"]), "--from": INTS, "--to": INTS,
+    "certify": {"--alpha": values(["5/2", "3"], ALPHAS), "--from": INTS, "--to": INTS,
                 "--revalidate": st.sampled_from(["cert.json", "p4.json", "absent.json", None, None, None])},
-    "measure": {"--alpha": values(["3", "5/2"]), "--k": values(["3/2", "2"]),
+    "measure": {"--alpha": values(["3", "5/2"], ALPHAS), "--k": values(["3/2", "2"]),
                 "--coeffs": values(["-1,1,1", "1,1", "0,1", "1,-1,2"]),
                 "--degree": INTS, "--height": INTS, "--max-refine": INTS},
     "search": {"--degree": INTS, "--height": INTS, "--terms": INTS, "--enum-cap": INTS,

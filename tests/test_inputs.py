@@ -1,5 +1,7 @@
 """Inputs at the edges: digit budgets, huge term indices, long numbers on
-the command line, and the failing index in error objects."""
+the command line and in error messages, malformed and deeply nested
+specs, walks over terms that never grow, and the failing index in error
+objects."""
 
 import fractions
 import importlib
@@ -14,16 +16,33 @@ from hypothesis import strategies as st
 from seriescert import (
     Affine,
     DigitBudgetError,
+    EnumerationTooLargeError,
+    ExplicitIndices,
     FactorialExponent,
     InvalidParameterError,
+    NotFoundBelowNMaxError,
     PolynomialInt,
     PowerRecurrence,
+    SeriesCertError,
     Subseries,
+    bound,
+    check_growth,
+    convergent_range,
+    denominator_bound_holds,
+    effective_start,
+    find_n1,
     parse_rational,
+    partial_sum,
+    q_growth_holds,
+    qn_exponent_bound_holds,
+    shrink_factor,
+    spec_from_obj,
+    tail_bound,
     term,
 )
 from seriescert.cli import main
-from seriescert.serialize import str_to_int
+from seriescert.sequences import MAX_TERMS
+from seriescert.serialize import MAX_SPEC_DEPTH, int_to_str, str_to_int
 
 P4_OBJ = {"family": "power", "a1": "2", "e": "4"}
 FE_OBJ = {"family": "factorialExp", "base": "2", "offset": "1"}
@@ -232,3 +251,128 @@ def test_search_csv_evaluates_each_polynomial_once(write_spec, tmp_path, capsys,
     assert code == 0
     assert json.loads(capsys.readouterr().out)["count"] == 26
     assert len(calls) == len(set(calls)) == 26
+
+
+NINES = 10**5000 - 1  # spelled "9" * 5000, past the int/str limit
+P4 = PowerRecurrence(2, 4)
+ONES = PowerRecurrence(1, 2)  # a_n = 1 for every n
+
+
+def test_shrink_factor_takes_an_alpha_beyond_float_range():
+    assert shrink_factor(P4, 10**400, 1).log10_approx == math.inf
+    assert shrink_factor(ONES, 10**400, 1).log10_approx == 0.0
+
+
+def test_analyze_takes_an_alpha_beyond_float_range(write_spec, capsys):
+    spec = write_spec({"family": "power", "a1": "1", "e": "2"})
+    assert main(["analyze", "--spec", spec, "--alpha", "1e400", "--to", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1] == "1,1,fail,,,0,pass,pass,"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ExplicitIndices((5, NINES, 3)),
+    lambda: ExplicitIndices((1, 2)).apply(NINES),
+    lambda: PowerRecurrence(2, 4, start_offset=-NINES),
+    lambda: check_growth(P4, Fraction(5, 2), NINES, 1),
+    lambda: effective_start(P4, Fraction(5, 2), 1, NINES, 1),
+    lambda: next(convergent_range(P4, -NINES)),
+    lambda: partial_sum(P4, -NINES),
+    lambda: denominator_bound_holds(P4, -NINES),
+    lambda: shrink_factor(P4, 2, -NINES),
+    lambda: tail_bound(P4, -NINES),
+    lambda: qn_exponent_bound_holds(P4, 2, -NINES),
+    lambda: q_growth_holds(P4, 2, 2, -NINES),
+    lambda: bound(NINES, 1, 100, 2),
+    lambda: find_n1(P4, 100, -NINES, 1, 1),
+    lambda: find_n1(P4, 100, 2, -NINES, 1),
+    lambda: find_n1(P4, 100, 2, 1, -NINES),
+    lambda: find_n1(P4, 100, 2, NINES, 1),
+])
+def test_error_messages_spell_integers_in_full(call):
+    with pytest.raises(SeriesCertError) as info:
+        call()
+    assert "9" * 4999 in str(info.value)
+
+
+def test_find_n1_reports_a_huge_threshold_as_not_found():
+    with pytest.raises(NotFoundBelowNMaxError, match=f"threshold {int_to_str(6 * 10**5000)}$"):
+        find_n1(P4, 100, 2, 10**5000, 1)
+
+
+def test_huge_non_increasing_index_list_is_an_invalid_index_map(write_spec, capsys):
+    index_map = {"kind": "explicit", "indices": ["5", "9" * 5000, "3"]}
+    spec = write_spec({"family": "subseries", "inner": P4_OBJ, "indexMap": index_map})
+    assert main(["term", "--spec", spec, "--n", "1"]) == 2
+    assert _error(capsys) == {
+        "error": "invalid-index-map",
+        "message": f"index list not strictly increasing at {'9' * 5000} -> 3",
+    }
+
+
+@pytest.mark.parametrize("obj", [
+    {"family": "explicit", "terms": "12"},
+    {"family": "subseries", "inner": P4_OBJ, "indexMap": {"kind": "explicit", "indices": "12"}},
+    {"family": "power", "a1": "2", "e": "4", "startOffset": True},
+    {"family": "power", "a1": "2", "e": "4", "startOffset": False},
+])
+def test_spec_decoding_wants_arrays_and_integers_not_look_alikes(obj):
+    with pytest.raises(InvalidParameterError):
+        spec_from_obj(obj)
+
+
+def _nested(depth, inner=P4_OBJ):
+    for _ in range(depth):
+        index_map = {"kind": "affine", "s": "1", "t": "0"}
+        inner = {"family": "subseries", "inner": inner, "indexMap": index_map}
+    return inner
+
+
+def test_every_command_runs_on_a_spec_nested_to_the_cap(write_spec, tmp_path, capsys):
+    spec = write_spec(_nested(MAX_SPEC_DEPTH))
+    cert = str(tmp_path / "cert.json")
+    for argv in (["analyze", "--alpha", "5/2", "--k", "2", "--to", "3"],
+                 ["certify", "--alpha", "5/2", "--to", "3", "--out", cert],
+                 ["measure", "--alpha", "3", "--k", "2", "--coeffs", "-1,1,1"],
+                 ["search", "--degree", "1", "--height", "1", "--terms", "2"],
+                 ["term", "--m", "2"]):
+        assert main(argv + ["--spec", spec]) == 0, capsys.readouterr().err
+    assert main(["certify", "--revalidate", cert]) == 0, capsys.readouterr().err
+
+
+def test_nesting_past_the_cap_is_refused(write_spec, capsys):
+    with pytest.raises(InvalidParameterError, match="nested more than"):
+        spec_from_obj(_nested(MAX_SPEC_DEPTH + 1))
+    assert main(["term", "--spec", write_spec(_nested(MAX_SPEC_DEPTH + 1)), "--n", "1"]) == 2
+    assert _error(capsys)["error"] == "invalid-parameter"
+
+
+def test_json_too_deep_for_the_decoder_is_invalid_input(tmp_path, capsys):
+    deep = '{"family": "subseries", "inner": ' * 5000 + "{}" + "}" * 5000
+    (tmp_path / "spec.json").write_text(deep)
+    (tmp_path / "cert.json").write_text('{"spec": ' + deep + "}")
+    for argv in (["term", "--spec", str(tmp_path / "spec.json"), "--n", "1"],
+                 ["certify", "--revalidate", str(tmp_path / "cert.json")]):
+        assert main(argv) == 2
+        assert _error(capsys) == {"error": "invalid-input",
+                                  "message": "JSON nesting too deep to decode"}
+
+
+def test_walks_over_terms_that_never_grow_are_capped(write_spec, capsys):
+    assert partial_sum(ONES, MAX_TERMS).value == MAX_TERMS
+    with pytest.raises(EnumerationTooLargeError):
+        partial_sum(ONES, MAX_TERMS + 1)
+    # a window of checks at n reads a_n and a_{n+1}
+    last = MAX_TERMS - 1
+    assert check_growth(ONES, 3, 1, last).failures() == tuple(range(1, last + 1))
+    with pytest.raises(EnumerationTooLargeError):
+        check_growth(ONES, 3, 1, last + 1)
+    with pytest.raises(EnumerationTooLargeError):
+        check_growth(ONES, 3, 10**9, 10**9 + last)
+    spec = write_spec({"family": "power", "a1": "1", "e": "2"})
+    assert main(["term", "--spec", spec, "--m", "1000000000"]) == 2
+    assert _error(capsys)["error"] == "enumeration-too-large"
+    # growing terms meet the digit budget first, as before
+    assert main(["term", "--spec", write_spec(P4_OBJ), "--m", "1000000000"]) == 2
+    assert _error(capsys)["error"] == "digit-budget-exceeded"

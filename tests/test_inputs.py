@@ -322,7 +322,8 @@ def test_spec_decoding_wants_arrays_and_integers_not_look_alikes(obj):
         spec_from_obj(obj)
 
 
-def _nested(depth, inner=P4_OBJ):
+def _nested(depth):
+    inner = P4_OBJ
     for _ in range(depth):
         index_map = {"kind": "affine", "s": "1", "t": "0"}
         inner = {"family": "subseries", "inner": inner, "indexMap": index_map}

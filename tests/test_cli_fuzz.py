@@ -4,9 +4,11 @@ exactly one JSON error object carrying a known code.
 Hypothesis draws, for each subcommand, every flag as absent or as a
 value from a pool of typical values and extremes (-1, 0, 10^9, -5/2,
 1/2, 7/0, "1,x", and 1e400 for --alpha), over the digit budgets 1, 50
-and 2000 and a pool of specs: four well-formed ones (a1 = 1 among them)
-and malformed ones (string terms, a boolean startOffset, subseries
-nested 700 deep, an index list that decreases after a 5000-digit index).
+and 2000 and a pool of specs: four well-formed ones (a1 = 1 among them),
+extreme ones (a 10^5-digit a1, an explicit term of 5000 digits) and
+malformed ones (each required key left out, string terms, a boolean
+startOffset, subseries nested 700 deep, an index list that decreases
+after a 5000-digit index).
 """
 
 import io
@@ -56,6 +58,14 @@ SPECS = {
     "deep": nested(700),
     "huge-indices": {"family": "subseries", "inner": P4,
                      "indexMap": {"kind": "explicit", "indices": ["5", "9" * 5000, "3"]}},
+    "long-a1": {"family": "power", "a1": "7" * 10**5, "e": "4"},
+    "huge-term": {"family": "explicit", "terms": ["2", "9" * 5000]},
+    "no-a1": {"family": "power", "e": "4"},
+    "no-e": {"family": "power", "a1": "2"},
+    "no-base": {"family": "factorialExp", "offset": "1"},
+    "no-terms": {"family": "explicit"},
+    "no-inner": {"family": "subseries", "indexMap": {"kind": "affine", "s": "1", "t": "0"}},
+    "no-indexMap": {"family": "subseries", "inner": P4},
 }
 FLAGS = {
     "analyze": {"--alpha": values(["5/2", "3", "3/2"], ALPHAS), "--k": values(["2", "3/2"]),

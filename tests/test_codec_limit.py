@@ -3,18 +3,29 @@
 Below the divide-and-conquer cut-over int_to_str calls str() when the
 current limit allows the value, so each limit is tried in a fresh
 interpreter started with it; the limit must read the same afterwards.
+Values m * 2**t with a small odd part m take the one-Decimal-power path
+from the cut-over up, at every size to the default digit budget.
+
+str() is quadratic before CPython 3.12: it takes about 20 s for a
+million digits. Above ORACLE_BITS the expected text is therefore
+int_to_str's own, accepted once in this process only when it is in
+canonical form and reads back as the value through str_to_int. A decimal
+integer has one canonical spelling, so that text is str(value).
 """
 
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-SCRIPT = """
-import json, random, sys
-from seriescert.serialize import _STR_FASTER_BELOW_BITS as CUT, int_to_str
-limit = sys.get_int_max_str_digits()
+from seriescert.serialize import int_to_str, str_to_int
+
+VALUES = """
+import random
+from seriescert.serialize import (_INT_TO_STR_CUTOVER_BITS as LOW, _STR_FASTER_BELOW_BITS as CUT)
 rng = random.Random(7)
 values = []
 for bits in (1, 64, 2048, 2049, 2127, 2128, 2200, 14_000, 14_285, 14_286, 14_400, CUT - 1, CUT,
@@ -22,21 +33,62 @@ for bits in (1, 64, 2048, 2049, 2127, 2128, 2200, 14_000, 14_285, 14_286, 14_400
     top = 1 << (bits - 1)
     values += [top, 2 * top - 1, rng.getrandbits(bits) | top]
 values += [10**k + d for k in (639, 640, 4299, 4300) for d in (-1, 0)]
+# odd parts below 2**128 take the Decimal power; 2**128 + 1 is the first
+# that does not, nor does 5**k, the odd part of 10**k
+for t in (LOW - 1, LOW, LOW + 1, CUT - 1, CUT + 1, 527_359, 3_300_000):
+    values += [m << t for m in (1, 3, 2**128 - 1, 2**128 + 1)]
+    k = t * 30103 // 100000  # 10**k has about t bits
+    values += [10**k + d for d in (-1, 0, 1)]
 values += [-v for v in values]
-got = [int_to_str(v) for v in values]
-unchanged = sys.get_int_max_str_digits() == limit
-sys.set_int_max_str_digits(0)
-print(json.dumps({"unchanged": unchanged, "equal": got == [str(v) for v in values]}))
 """
+
+SCRIPT = VALUES + """
+import hashlib, json, sys
+from seriescert.serialize import int_to_str
+read_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # none before 3.11
+limit = read_limit()
+digests = [hashlib.sha256(int_to_str(v).encode()).hexdigest() for v in values]
+print(json.dumps({"unchanged": read_limit() == limit, "digests": digests}))
+"""
+
+ORACLE_BITS = 100_000
+CANONICAL = re.compile(r"-?[1-9][0-9]*|0")
+
+
+def spelled(value):
+    """str(value), from str() itself up to ORACLE_BITS."""
+    if value.bit_length() <= ORACLE_BITS:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(saved)
+    text = int_to_str(value)
+    assert CANONICAL.fullmatch(text) and str_to_int(text) == value
+    return text
+
+
+@pytest.fixture(scope="module")
+def expected_digests():
+    namespace = {}
+    exec(VALUES, namespace)
+    values = namespace["values"]
+    half = len(values) // 2  # the second half negates the first
+    texts = [spelled(v) for v in values[:half]]
+    texts += ["-" + text for text in texts]
+    return [hashlib.sha256(text.encode()).hexdigest() for text in texts]
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="interpreter has no int/str digit limit")
 @pytest.mark.parametrize("limit", [640, 4300, 0])
-def test_int_to_str_equals_str_at_every_limit(limit, fresh_interpreter_env):
+def test_int_to_str_equals_str_at_every_limit(limit, expected_digests, fresh_interpreter_env):
     proc = subprocess.run(
         [sys.executable, "-X", f"int_max_str_digits={limit}", "-c", SCRIPT],
         capture_output=True, text=True, env=fresh_interpreter_env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"unchanged": True, "equal": True}
+    result = json.loads(proc.stdout)
+    assert result["unchanged"] is True
+    assert result["digests"] == expected_digests

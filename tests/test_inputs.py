@@ -7,6 +7,7 @@ import fractions
 import importlib
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,34 @@ def test_long_coefficient_reaches_the_measure_bound(write_spec, capsys):
     assert _error(capsys) == {
         "error": "invalid-parameter", "message": "sandwich hypothesis violated at n=1",
     }
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="interpreter has no int/str digit limit")
+@pytest.mark.parametrize("limit", [4300, 0])
+def test_height_past_the_digit_limit_is_an_invalid_parameter(limit, write_spec, capsys):
+    # evidence writes the height as a JSON number, which json.dumps spells
+    # with str() and so only within the interpreter's int/str digit limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        code = main(["measure", "--spec", write_spec(P4_OBJ), "--alpha", "3", "--k", "3/2",
+                     "--coeffs", f"{LONG},1,1"])
+        out, err = capsys.readouterr()
+        evidence = json.loads(out) if code == 0 else None
+    finally:
+        sys.set_int_max_str_digits(saved)
+    if limit:
+        assert code == 2
+        assert json.loads(err) == {
+            "error": "invalid-parameter",
+            "message": f"height {LONG} has 5000 digits; evidence writes it as a JSON number, "
+                       "which this interpreter spells only up to 4300 digits",
+        }
+    else:
+        assert code == 0
+        assert evidence["verified"] is True
+        assert evidence["bound"]["height"] == str_to_int(LONG)
 
 
 def test_growth_failure_names_the_index(write_spec, capsys):

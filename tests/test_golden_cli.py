@@ -78,6 +78,9 @@ CASES = {
        for budget in (1, 2, 10, 39, 40, 158)},
     "measure-verified": [["measure", "--spec", "@p4", "--alpha", "3", "--k", "3/2",
                           "--coeffs", "-1,1,1", "--out", "%evidence.json"]],
+    # 3^16 x - (3^14 + 1) vanishes at the second partial sum: one refinement
+    "measure-sub-refined": [["measure", "--spec", "@sub", "--alpha", "6", "--k", "2",
+                             "--coeffs", "-4782970,43046721", "--out", "%evidence.json"]],
     "measure-sandwich-violation": [["measure", "--spec", "@p4", "--alpha", "4", "--k", "2",
                                     "--coeffs", "-1,1,1"]],
     "measure-inconclusive": [["measure", "--spec", "@p512", "--alpha", "3", "--k", "3/2",
@@ -88,6 +91,14 @@ CASES = {
        for budget in (1, 620, 1236, 1390, 2475, 4994, 5991, 9979, 19949, 22940)},
     "search-csv": [["search", "--spec", "@p4", "--degree", "2", "--height", "1",
                     "--terms", "3", "--csv", "%rows.csv", "--out", "%report.json"]],
+    # denominators past one shift: a power of three (sub), 2^(n!+1) sums (fe)
+    "search-csv-sub": [["search", "--spec", "@sub", "--degree", "2", "--height", "1",
+                        "--terms", "2", "--csv", "%rows.csv", "--out", "%report.json"]],
+    "search-csv-fe": [["search", "--spec", "@fe", "--degree", "2", "--height", "2",
+                       "--terms", "3", "--csv", "%rows.csv", "--out", "%report.json"]],
+    # rows of actual degree 0 to 3 share one scale
+    "search-csv-degree-3": [["search", "--spec", "@p4", "--degree", "3", "--height", "1",
+                             "--terms", "2", "--csv", "%rows.csv", "--out", "%report.json"]],
     "term-m": [["term", "--spec", "@p4", "--m", "4", "--digits", "40"]],
     "term-m-sub": [["term", "--spec", "@sub", "--m", "2", "--digits", "30"]],
     "term-n-offset": [["term", "--spec", "@fe-offset", "--n", "2"]],

@@ -7,6 +7,8 @@ the rational-approximation inequality at chosen indices, and confronts
 polynomial lower bounds with exhaustive search.
 """
 
+from types import ModuleType as _ModuleType
+
 from .convergents import (
     Convergent,
     TailShrink,
@@ -86,81 +88,8 @@ from .witness import CAVEAT, CONCLUSION, Certificate, Witness, certify, rational
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Affine",
-    "AlphaTooSmallError",
-    "BruteForceResult",
-    "CAVEAT",
-    "CONCLUSION",
-    "Certificate",
-    "Convergent",
-    "DEFAULT_DIGIT_BUDGET",
-    "DigitBudgetError",
-    "Enclosure",
-    "EnumerationTooLargeError",
-    "ExactnessError",
-    "Explicit",
-    "ExplicitIndices",
-    "FactorialExponent",
-    "GrowthCheck",
-    "GrowthReport",
-    "HypothesisFailedError",
-    "InconclusiveError",
-    "IndexOutOfRangeError",
-    "InvalidIndexMapError",
-    "InvalidParameterError",
-    "MeasureBound",
-    "MeasureEvidence",
-    "N1Result",
-    "NoTailGuaranteeError",
-    "NotFoundBelowNMaxError",
-    "NotFoundInWindowError",
-    "Ordering",
-    "PolynomialInt",
-    "PowerRecurrence",
-    "SequenceSpec",
-    "SeriesCertError",
-    "SpecMismatchError",
-    "Subseries",
-    "TailShrink",
-    "Witness",
-    "WitnessFailedError",
-    "abs_bracket",
-    "abs_lower_bound",
-    "bound",
-    "brute_force_min",
-    "canonical_dumps",
-    "certificate_obj",
-    "certify",
-    "check_growth",
-    "check_sandwich",
-    "checked_pow",
-    "compare_power",
-    "exponent_form",
-    "convergent_range",
-    "denominator_bound_holds",
-    "effective_start",
-    "enclose",
-    "enumerate_brackets",
-    "find_n1",
-    "has_tail_guarantee",
-    "parse_rational",
-    "partial_sum",
-    "q_growth_holds",
-    "qn_exponent_bound_holds",
-    "rational_from_obj",
-    "rational_obj",
-    "rational_prefix",
-    "refine",
-    "shrink_decreases",
-    "shrink_factor",
-    "shrink_less_than",
-    "spec_fingerprint",
-    "spec_from_obj",
-    "spec_obj",
-    "subseries",
-    "tail_bound",
-    "term",
-    "verify_measure",
-    "witness",
-]
+# the public names are the ones imported above, the submodules aside
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -38,7 +38,7 @@ from .measure import (
     _minimum,
     _q_exponent_ok,
     _q_growth_ok,
-    enumerate_brackets,
+    _scaled_brackets,
     verify_measure,
 )
 from .sequences import (
@@ -214,25 +214,25 @@ def _run_measure(config: argparse.Namespace) -> int:
 def _run_search(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     enc = enclose(spec, config.terms, config.digit_budget)
-    brackets = enumerate_brackets(spec, config.degree, config.height, enc, config.enum_cap)
+    rows, scale = _scaled_brackets(spec, config.degree, config.height, enc, config.enum_cap)
     if config.csv_path:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        header = [f"e{i}" for i in range(config.degree + 1)]
-        writer.writerow(header + ["abs_lower", "abs_upper"])
-        brackets = _written(brackets, writer)
-    result = _minimum(brackets)
+        header = [f"e{i}" for i in range(config.degree + 1)] + ["abs_lower", "abs_upper"]
+        lines = [",".join(header)]
+        rows = _written(rows, scale, lines)
+    result = _minimum(rows, scale)
     if config.csv_path:
         with open(config.csv_path, "w") as handle:
-            handle.write(buffer.getvalue())
+            handle.write("\r\n".join(lines) + "\r\n")  # csv.writer's line ending
     _emit(canonical_dumps(brute_force_obj(result)), config.out)
     return 0
 
 
-def _written(brackets, writer):
-    """The brackets, each written as a CSV row as it passes."""
-    for vec, low, high in brackets:
-        writer.writerow(list(vec) + [fraction_to_str(low), fraction_to_str(high)])
+def _written(rows, scale, lines):
+    """The rows, each appended to lines as a CSV row as it passes. A cell
+    is an integer or a reduced p/q, so none needs csv quoting."""
+    for vec, low, high in rows:
+        cells = [*map(str, vec), *(fraction_to_str(Fraction(v, scale)) for v in (low, high))]
+        lines.append(",".join(cells))
         yield vec, low, high
 
 

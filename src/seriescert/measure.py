@@ -13,7 +13,9 @@ interval Horner evaluation, and compares the resulting certified lower
 bound for |P(theta)| against base^(-E). A failed comparison only ever
 means the interval is still too wide, so the procedure refines and, if
 the refinement allowance runs out, reports Inconclusive rather than
-asserting a counterexample.
+asserting a counterexample. The evaluation runs on integers: both ends
+of the interval are written over one denominator D, step j of Horner's
+scheme holds numerators over D^j, and only a result becomes a Fraction.
 
 brute_force_min is the independent check: it enumerates every candidate
 polynomial and brackets |P(theta)| for each, so tests can confirm that
@@ -23,6 +25,7 @@ no polynomial in the class beats the bound.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -90,14 +93,40 @@ class PolynomialInt:
 
     def evaluate_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact interval Horner: bounds for {P(t) : lo <= t <= hi}."""
-        if lo > hi:
+        L, U, D = _common(lo, hi)
+        if L > U:
             raise InvalidParameterError("interval endpoints out of order")
-        acc_lo = acc_hi = Fraction(self.coeffs[-1])
-        for c in reversed(self.coeffs[:-1]):
-            products = (acc_lo * lo, acc_lo * hi, acc_hi * lo, acc_hi * hi)
-            acc_lo = min(products) + c
-            acc_hi = max(products) + c
-        return acc_lo, acc_hi
+        scale = D**self.degree
+        return tuple(Fraction(v, scale) for v in _horner(self.coeffs, L, U, D))
+
+
+def _common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """(L, U, D) with lo = L/D and hi = U/D, D the lcm of the denominators."""
+    D = math.lcm(lo.denominator, hi.denominator)
+    return lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator), D
+
+
+def _horner(coeffs: tuple[int, ...], L: int, U: int, D: int) -> tuple[int, int]:
+    """Interval Horner on integers: numerators over D^d, d = len(coeffs) - 1,
+    bounding P(t) for L/D <= t <= U/D. Step j holds numerators over D^j,
+    so the products are plain multiplies and c enters as c*D^j; leading
+    zero coefficients keep the accumulator at 0 and only fix the scale."""
+    acc_lo = acc_hi = coeffs[-1]
+    power = 1
+    for c in reversed(coeffs[:-1]):
+        power *= D
+        products = (acc_lo * L, acc_lo * U, acc_hi * L, acc_hi * U)
+        acc_lo, acc_hi = min(products) + c * power, max(products) + c * power
+    return acc_lo, acc_hi
+
+
+def _abs_pair(low: int, high: int) -> tuple[int, int]:
+    """The bracket of |P| from the bracket [low, high] of P."""
+    if low > 0:
+        return low, high
+    if high < 0:
+        return -high, -low
+    return 0, max(-low, high)
 
 
 @dataclass(frozen=True)
@@ -269,17 +298,22 @@ def find_n1(
     )
 
 
+def _abs_scaled(P: PolynomialInt, enc: Enclosure) -> tuple[tuple[int, int], int]:
+    """The |P(theta)| bracket for theta in enc, as numerators over a scale."""
+    L, U, D = _common(enc.lo, enc.hi)
+    return _abs_pair(*_horner(P.coeffs, L, U, D)), D**P.degree
+
+
 def abs_bracket(P: PolynomialInt, enc: Enclosure) -> tuple[Fraction, Fraction]:
     """Certified bracket [low, high] for |P(theta)| given theta in enc."""
-    lo_v, hi_v = P.evaluate_interval(enc.lo, enc.hi)
-    if lo_v <= 0 <= hi_v:
-        return Fraction(0), max(-lo_v, hi_v)
-    return min(abs(lo_v), abs(hi_v)), max(abs(lo_v), abs(hi_v))
+    pair, scale = _abs_scaled(P, enc)
+    return tuple(Fraction(v, scale) for v in pair)
 
 
 def abs_lower_bound(P: PolynomialInt, enc: Enclosure) -> Fraction:
     """Certified lower bound for |P(theta)|; 0 means inconclusive."""
-    return abs_bracket(P, enc)[0]
+    (low, _), scale = _abs_scaled(P, enc)
+    return Fraction(low, scale)
 
 
 def _require_sandwich(
@@ -381,6 +415,16 @@ def enumerate_brackets(
 
     The class, the enclosure and the size are checked at the call; the
     brackets are made as they are read."""
+    rows, scale = _scaled_brackets(spec, d, H, enc, enumeration_cap)
+    return ((vec, Fraction(low, scale), Fraction(high, scale)) for vec, low, high in rows)
+
+
+def _scaled_brackets(
+    spec: SequenceSpec, d: int, H: int, enc: Enclosure, enumeration_cap: int
+) -> tuple[Iterator[tuple[tuple[int, ...], int, int]], int]:
+    """(rows, D^d): the rows of enumerate_brackets with each bracket as
+    integer numerators over the one scale D^d, D the common denominator
+    of the enclosure. Every vector is evaluated untrimmed, at degree d."""
     _check_class(d, H, 1)
     if spec_fingerprint(spec) != enc.fingerprint:
         raise SpecMismatchError("enclosure was built from a different sequence")
@@ -394,25 +438,25 @@ def enumerate_brackets(
         raise EnumerationTooLargeError(
             f"enumeration of {count} polynomials exceeds the cap {_decimal(enumeration_cap)}"
         )
+    L, U, D = _common(enc.lo, enc.hi)
     vectors = itertools.product(range(-H, H + 1), repeat=exp)
-    return ((vec, *abs_bracket(PolynomialInt(vec), enc)) for vec in vectors if any(vec))
+    rows = ((vec, *_abs_pair(*_horner(vec, L, U, D))) for vec in vectors if any(vec))
+    return rows, D**d
 
 
-def _minimum(
-    brackets: Iterable[tuple[tuple[int, ...], Fraction, Fraction]]
-) -> BruteForceResult:
-    """Fold (vector, |P| lower, |P| upper) rows into the minimum upper
-    bracket, the first one on a tie."""
-    best: Optional[tuple[tuple[int, ...], Fraction, Fraction]] = None
+def _minimum(rows: Iterable[tuple[tuple[int, ...], int, int]], scale: int) -> BruteForceResult:
+    """Fold (vector, |P| lower, |P| upper) rows, numerators over scale,
+    into the minimum upper bracket, the first one on a tie."""
+    best: Optional[tuple[tuple[int, ...], int, int]] = None
     count = 0
-    for vec, low, high in brackets:
+    for vec, low, high in rows:
         count += 1
         if best is None or high < best[2]:
             best = (vec, low, high)
     return BruteForceResult(
         argmin=PolynomialInt(best[0]),
-        min_lower=best[1],
-        min_upper=best[2],
+        min_lower=Fraction(best[1], scale),
+        min_upper=Fraction(best[2], scale),
         count=count,
     )
 
@@ -430,4 +474,4 @@ def brute_force_min(
     the ascending enumeration provides for free: the first minimum seen
     wins.
     """
-    return _minimum(enumerate_brackets(spec, d, H, enc, enumeration_cap))
+    return _minimum(*_scaled_brackets(spec, d, H, enc, enumeration_cap))

@@ -45,11 +45,13 @@ from .sequences import (
 # 8,192 bits and 3.7x at 32,768, and 2.3x faster than the divide-and-
 # conquer at 527,359 (10.9 against 25.1 ms). For other values the
 # divide-and-conquer int->str is 6x slower than str() at 2,000 bits, 1.3x
-# at 24,000, and only overtakes it near 48,000 bits, so up to that size
-# int_to_str also calls str() when the current limit allows the value.
+# at 24,000, and overtakes it near 44,000 bits (random odd values, median
+# of five: 3.4 against 3.3 ms at 42,000 bits, 3.4 against 4.0 at 46,000),
+# so up to that size int_to_str also calls str() when the current limit
+# allows the value.
 # For str->int the two are within 1.5x of each other from 300 digits up.
 _INT_TO_STR_CUTOVER_BITS = 2048  # 2**2048 < 10**617
-_STR_FASTER_BELOW_BITS = 48_000
+_STR_FASTER_BELOW_BITS = 44_000
 _STR_TO_INT_CUTOVER_CHARS = 640
 
 #: Deepest ``subseries`` nesting a decoded spec may have. The helpers that

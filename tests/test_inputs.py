@@ -268,13 +268,14 @@ def test_witness_failure_names_m(write_spec, capsys, monkeypatch):
 
 def test_search_csv_evaluates_each_polynomial_once(write_spec, tmp_path, capsys, monkeypatch):
     calls = []
-    evaluate_interval = PolynomialInt.evaluate_interval
+    measure_module = importlib.import_module("seriescert.measure")
+    horner = measure_module._horner
 
-    def counting(self, lo, hi):
-        calls.append(self.coeffs)
-        return evaluate_interval(self, lo, hi)
+    def counting(coeffs, L, U, D):
+        calls.append(coeffs)
+        return horner(coeffs, L, U, D)
 
-    monkeypatch.setattr(PolynomialInt, "evaluate_interval", counting)
+    monkeypatch.setattr(measure_module, "_horner", counting)
     code = main(["search", "--spec", write_spec(P4_OBJ), "--degree", "2", "--height", "1",
                  "--csv", str(tmp_path / "rows.csv")])
     assert code == 0

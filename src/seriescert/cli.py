@@ -60,9 +60,9 @@ from .serialize import (
     certificate_obj,
     decimal_digits,
     evidence_obj,
-    fraction_to_str,
     int_to_str,
     parse_rational,
+    ratio_to_str,
     rational_from_obj,
     require_key,
     spec_from_obj,
@@ -231,7 +231,7 @@ def _written(rows, scale, lines):
     """The rows, each appended to lines as a CSV row as it passes. A cell
     is an integer or a reduced p/q, so none needs csv quoting."""
     for vec, low, high in rows:
-        cells = [*map(str, vec), *(fraction_to_str(Fraction(v, scale)) for v in (low, high))]
+        cells = [*map(str, vec), ratio_to_str(low, scale), ratio_to_str(high, scale)]
         lines.append(",".join(cells))
         yield vec, low, high
 

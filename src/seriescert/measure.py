@@ -53,7 +53,7 @@ from .sequences import (
     one_pass,
     term_stream,
 )
-from .serialize import spec_fingerprint
+from .serialize import _odd_part, lowest_terms, spec_fingerprint
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,15 @@ class PolynomialInt:
         if L > U:
             raise InvalidParameterError("interval endpoints out of order")
         scale = D**self.degree
-        return tuple(Fraction(v, scale) for v in _horner(self.coeffs, L, U, D))
+        return tuple(Fraction(*lowest_terms(v, scale)) for v in _horner(self.coeffs, L, U, D))
 
 
 def _common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(L, U, D) with lo = L/D and hi = U/D, D the lcm of the denominators."""
-    D = math.lcm(lo.denominator, hi.denominator)
-    return lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator), D
+    """(L, U, D) with lo = L/D and hi = U/D, D the lcm of the denominators.
+    The factors of two are shifts; only the odd parts meet math.lcm."""
+    (o1, t1), (o2, t2) = _odd_part(lo.denominator), _odd_part(hi.denominator)
+    odd, t = math.lcm(o1, o2), max(t1, t2)
+    return lo.numerator * (odd // o1) << t - t1, hi.numerator * (odd // o2) << t - t2, odd << t
 
 
 def _horner(coeffs: tuple[int, ...], L: int, U: int, D: int) -> tuple[int, int]:
@@ -122,11 +124,9 @@ def _horner(coeffs: tuple[int, ...], L: int, U: int, D: int) -> tuple[int, int]:
 
 def _abs_pair(low: int, high: int) -> tuple[int, int]:
     """The bracket of |P| from the bracket [low, high] of P."""
-    if low > 0:
-        return low, high
-    if high < 0:
-        return -high, -low
-    return 0, max(-low, high)
+    if low <= 0 <= high:
+        return 0, max(-low, high)
+    return (low, high) if low > 0 else (-high, -low)
 
 
 @dataclass(frozen=True)
@@ -307,13 +307,13 @@ def _abs_scaled(P: PolynomialInt, enc: Enclosure) -> tuple[tuple[int, int], int]
 def abs_bracket(P: PolynomialInt, enc: Enclosure) -> tuple[Fraction, Fraction]:
     """Certified bracket [low, high] for |P(theta)| given theta in enc."""
     pair, scale = _abs_scaled(P, enc)
-    return tuple(Fraction(v, scale) for v in pair)
+    return tuple(Fraction(*lowest_terms(v, scale)) for v in pair)
 
 
 def abs_lower_bound(P: PolynomialInt, enc: Enclosure) -> Fraction:
     """Certified lower bound for |P(theta)|; 0 means inconclusive."""
     (low, _), scale = _abs_scaled(P, enc)
-    return Fraction(low, scale)
+    return Fraction(*lowest_terms(low, scale))
 
 
 def _require_sandwich(
@@ -416,7 +416,10 @@ def enumerate_brackets(
     The class, the enclosure and the size are checked at the call; the
     brackets are made as they are read."""
     rows, scale = _scaled_brackets(spec, d, H, enc, enumeration_cap)
-    return ((vec, Fraction(low, scale), Fraction(high, scale)) for vec, low, high in rows)
+    return (
+        (vec, Fraction(*lowest_terms(low, scale)), Fraction(*lowest_terms(high, scale)))
+        for vec, low, high in rows
+    )
 
 
 def _scaled_brackets(
@@ -455,8 +458,8 @@ def _minimum(rows: Iterable[tuple[tuple[int, ...], int, int]], scale: int) -> Br
             best = (vec, low, high)
     return BruteForceResult(
         argmin=PolynomialInt(best[0]),
-        min_lower=Fraction(best[1], scale),
-        min_upper=Fraction(best[2], scale),
+        min_lower=Fraction(*lowest_terms(best[1], scale)),
+        min_upper=Fraction(*lowest_terms(best[2], scale)),
         count=count,
     )
 

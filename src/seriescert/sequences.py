@@ -89,10 +89,10 @@ def _as_k(value: Union[Fraction, int, str]) -> Fraction:
 def _decimal(value) -> str:
     """``str(value)``, at any size for an int or a Fraction, for error
     messages."""
-    from .serialize import fraction_to_str, int_to_str  # serialize imports this module
+    from .serialize import int_to_str, ratio_to_str  # serialize imports this module
 
     if isinstance(value, Fraction):
-        return fraction_to_str(value)
+        return ratio_to_str(value.numerator, value.denominator)
     return int_to_str(value) if isinstance(value, int) else str(value)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -241,11 +242,30 @@ def rational_obj(value: Fraction) -> dict:
     return {"num": int_to_str(value.numerator), "den": int_to_str(value.denominator)}
 
 
-def fraction_to_str(value: Fraction) -> str:
-    """``str(value)`` ("p/q", or "p" for an integer) for any size."""
-    if value.denominator == 1:
-        return int_to_str(value.numerator)
-    return f"{int_to_str(value.numerator)}/{int_to_str(value.denominator)}"
+def _odd_part(n: int) -> tuple[int, int]:
+    """(m, t) with n = m * 2**t and m odd, for n != 0."""
+    t = (n & -n).bit_length() - 1
+    return n >> t, t
+
+
+def lowest_terms(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0. math.gcd is quadratic in the size of
+    its operands, so the factors of two cancel by shifts and only the odd
+    parts meet it: when d is a power of two, as the enclosures of a1 = 2^k
+    sequences make it, no gcd of big integers is taken."""
+    if n == 0:
+        return 0, 1
+    (n_odd, n_twos), (d_odd, d_twos) = _odd_part(n), _odd_part(d)
+    g = math.gcd(n_odd, d_odd)
+    shift = min(n_twos, d_twos)
+    return n_odd // g << n_twos - shift, d_odd // g << d_twos - shift
+
+
+def ratio_to_str(n: int, d: int) -> str:
+    """``str(Fraction(n, d))`` ("p/q", or "p" for an integer) for d > 0, at
+    any size."""
+    p, q = lowest_terms(n, d)
+    return int_to_str(p) if q == 1 else f"{int_to_str(p)}/{int_to_str(q)}"
 
 
 def rational_from_obj(obj: Any, name: str = "rational") -> Fraction:

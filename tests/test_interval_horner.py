@@ -25,6 +25,7 @@ from seriescert import (
     subseries,
 )
 from seriescert.measure import _common, _horner
+from seriescert.serialize import ratio_to_str
 
 P4 = PowerRecurrence(2, 4)
 
@@ -125,3 +126,12 @@ def test_enumeration_and_minimum_equal_a_fraction_fold():
         result = brute_force_min(spec, d, H, enc)
         assert result.argmin == PolynomialInt(best[0])
         assert (result.min_lower, result.min_upper, result.count) == (*best[1:], len(rows))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(min_value=-10**30, max_value=10**30),
+       st.integers(min_value=1, max_value=10**12), st.integers(min_value=0, max_value=90),
+       st.integers(min_value=0, max_value=90))
+def test_ratio_to_str_spells_the_reduced_fraction(m, odd, twos, extra):
+    n, d = m << extra, odd << twos
+    assert ratio_to_str(n, d) == str(Fraction(n, d))

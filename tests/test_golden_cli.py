@@ -91,7 +91,7 @@ CASES = {
        for budget in (1, 620, 1236, 1390, 2475, 4994, 5991, 9979, 19949, 22940)},
     "search-csv": [["search", "--spec", "@p4", "--degree", "2", "--height", "1",
                     "--terms", "3", "--csv", "%rows.csv", "--out", "%report.json"]],
-    # denominators past one shift: a power of three (sub), 2^(n!+1) sums (fe)
+    # enclosures of two more families: sub (powers of three) and fe (2^(n!+1))
     "search-csv-sub": [["search", "--spec", "@sub", "--degree", "2", "--height", "1",
                         "--terms", "2", "--csv", "%rows.csv", "--out", "%report.json"]],
     "search-csv-fe": [["search", "--spec", "@fe", "--degree", "2", "--height", "2",

@@ -101,6 +101,8 @@ CASES = {
                              "--terms", "2", "--csv", "%rows.csv", "--out", "%report.json"]],
     "term-m": [["term", "--spec", "@p4", "--m", "4", "--digits", "40"]],
     "term-m-sub": [["term", "--spec", "@sub", "--m", "2", "--digits", "30"]],
+    # explicit terms take Henrici's addition, not the exponent-form step
+    "term-m-explicit": [["term", "--spec", "@explicit", "--m", "4", "--digits", "60"]],
     "term-n-offset": [["term", "--spec", "@fe-offset", "--n", "2"]],
 }
 

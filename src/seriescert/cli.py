@@ -27,7 +27,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .convergents import _prefix_sums, partial_sum, shrink_factor
@@ -183,7 +182,7 @@ def _run_revalidate(config: argparse.Namespace) -> int:
     if not all(type(m) is int for m in indices):
         raise InvalidParameterError("witness m must be a JSON integer")
     if not indices:
-        raise SeriesCertError("certificate has no witnesses to revalidate")
+        raise InvalidParameterError("certificate has no witnesses to revalidate")
     cert = certify(spec, alpha, min(indices), max(indices), config.digit_budget)
     regenerated = canonical_dumps(certificate_obj(cert))
     if regenerated != original:
@@ -236,11 +235,12 @@ def _written(rows, scale, lines):
         yield vec, low, high
 
 
-def _decimal_expansion(value: Fraction, places: int) -> str:
-    whole, rem = divmod(value.numerator, value.denominator)
+def _decimal_expansion(p: int, q: int, places: int) -> str:
+    """p/q (q > 0) truncated to places fractional digits."""
+    whole, rem = divmod(p, q)
     if places <= 0:
         return int_to_str(whole)
-    scaled = rem * 10**places // value.denominator
+    scaled = rem * 10**places // q
     return int_to_str(whole) + "." + int_to_str(scaled).rjust(places, "0")
 
 
@@ -252,8 +252,8 @@ def _run_term(config: argparse.Namespace) -> int:
         return 0
     if config.digits > budget:
         raise DigitBudgetError(f"--digits {config.digits} is beyond the {budget}-digit budget")
-    value = partial_sum(spec, config.m, budget).value
-    _emit(_decimal_expansion(value, config.digits) + "\n", config.out)
+    conv = partial_sum(spec, config.m, budget)
+    _emit(_decimal_expansion(conv.p, conv.q, config.digits) + "\n", config.out)
     return 0
 
 

@@ -40,19 +40,11 @@ from .sequences import (
 # str(int) and int(str) beyond sys.get_int_max_str_digits() decimal digits
 # (the sign not counted; 0 means no limit), which can be set as low as 640
 # but never lower, so no setting of the limit makes a builtin call below
-# these sizes raise. Past the int->str cut-over, m * 2**t with odd
-# m < 2**128 is one exact Decimal power; on CPython 3.11 (best of 5) that
-# is at most 5 us slower than str() up to 3,000 bits, then 1.4x faster at
-# 8,192 bits and 3.7x at 32,768, and 2.3x faster than the divide-and-
-# conquer at 527,359 (10.9 against 25.1 ms). For other values the
-# divide-and-conquer int->str is 6x slower than str() at 2,000 bits, 1.3x
-# at 24,000, and overtakes it near 44,000 bits (random odd values, median
-# of five: 3.4 against 3.3 ms at 42,000 bits, 3.4 against 4.0 at 46,000),
-# so up to that size int_to_str also calls str() when the current limit
-# allows the value.
-# For str->int the two are within 1.5x of each other from 300 digits up.
+# these sizes raise. Above them the divide-and-conquer conversions take
+# over, with leaves of the same sizes, so neither direction reads the limit.
+# int->str spells m * 2**t (m odd) as the odd part through the divide-and-
+# conquer times one exact Decimal power of two.
 _INT_TO_STR_CUTOVER_BITS = 2048  # 2**2048 < 10**617
-_STR_FASTER_BELOW_BITS = 44_000
 _STR_TO_INT_CUTOVER_CHARS = 640
 
 #: Deepest ``subseries`` nesting a decoded spec may have. The helpers that
@@ -68,29 +60,18 @@ _INT_SYNTAX = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 def int_to_str(value: int) -> str:
     """Decimal string of an arbitrary-size integer, equal to ``str(value)``.
 
-    A value ``m * 2**t`` with odd ``m < 2**128`` is spelled as one exact
-    Decimal product ``Decimal(m) * Decimal(2)**t``. Other large values, and
-    values past the interpreter's current int/str digit limit (read on
-    every call, never set), go through a divide-and-conquer conversion
-    (port of CPython 3.12's ``_pylong.int_to_decimal_string``, gh-90716).
-    Both are subquadratic and neither is subject to that limit.
+    Above the cut-over, ``value = m * 2**t`` with ``m`` odd is spelled as
+    ``m`` through a divide-and-conquer conversion (port of CPython 3.12's
+    ``_pylong.int_to_decimal_string``, gh-90716) times one exact Decimal
+    power ``Decimal(2)**t``. Both are subquadratic, and neither reads or is
+    subject to the interpreter's int/str digit limit.
     """
-    bits = value.bit_length()
-    if bits <= _INT_TO_STR_CUTOVER_BITS:
+    if value.bit_length() <= _INT_TO_STR_CUTOVER_BITS:
         return str(value)
     import decimal
 
     D = decimal.Decimal
-    BITLIM = 128
-    n = abs(value)
-    twos = (n & -n).bit_length() - 1
-    power = (n >> twos).bit_length() <= BITLIM
-    if not power and bits <= _STR_FASTER_BELOW_BITS:
-        # an interpreter without get_int_max_str_digits has no limit (0)
-        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-        # bits * 30103 // 100000 + 1 bounds the digit count from above
-        if limit == 0 or bits * 30103 // 100000 + 1 <= limit:
-            return str(value)
+    BITLIM = _INT_TO_STR_CUTOVER_BITS
     D2 = D(2)
     mem = {}
 
@@ -117,12 +98,13 @@ def int_to_str(value: int) -> str:
         lo = n - (hi << w2)
         return inner(lo, w2) + inner(hi, w - w2) * w2pow(w2)
 
+    odd, twos = _odd_part(abs(value))
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.Emin = decimal.MIN_EMIN
         ctx.traps[decimal.Inexact] = 1
-        text = str(D(n >> twos) * D2**twos if power else inner(n, bits))
+        text = str(inner(odd, odd.bit_length()) * D2**twos)
     return "-" + text if value < 0 else text
 
 
@@ -130,7 +112,7 @@ def _digits_to_int(digits: str) -> int:
     """Value of a string of decimal digits (port of CPython 3.12's
     ``_pylong._str_to_int_inner``, gh-90716): split in halves, combine
     with one multiplication by a memoized power of 5 and a shift."""
-    DIGLIM = 2048
+    DIGLIM = _STR_TO_INT_CUTOVER_CHARS
     mem = {}
 
     def w5pow(w):

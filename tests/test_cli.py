@@ -265,8 +265,8 @@ def test_revalidate_missing_key_is_reported(path, p4_path, tmp_path, capsys):
     _assert_names_missing_key(code, capsys.readouterr().err, path[-1])
 
 
-@pytest.mark.parametrize("witnesses", [{"m": 1}, [1], [{"m": "1"}], [{"m": True}]],
-                         ids=["object", "not-objects", "string-m", "bool-m"])
+@pytest.mark.parametrize("witnesses", [{"m": 1}, [1], [{"m": "1"}], [{"m": True}], []],
+                         ids=["object", "not-objects", "string-m", "bool-m", "empty"])
 def test_revalidate_malformed_witnesses_are_reported(witnesses, p4_path, tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["certify", "--spec", p4_path, "--alpha", "5/2", "--to", "3",
@@ -275,6 +275,27 @@ def test_revalidate_malformed_witnesses_are_reported(witnesses, p4_path, tmp_pat
     doc["witnesses"] = witnesses
     out.write_text(json.dumps(doc))
     assert main(["certify", "--revalidate", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-parameter"
+
+
+@pytest.mark.parametrize("alpha", ["5/2", {"num": "5", "den": "2", "x": "1"}],
+                         ids=["string", "extra-key"])
+def test_revalidate_malformed_alpha_is_reported(alpha, p4_path, tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--spec", p4_path, "--alpha", "5/2", "--to", "3",
+                 "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    doc["alpha"] = alpha
+    out.write_text(json.dumps(doc))
+    assert main(["certify", "--revalidate", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-parameter"
+
+
+@pytest.mark.parametrize("index_map", [5, {"kind": "cubic"}], ids=["number", "unknown-kind"])
+def test_malformed_index_map_is_reported(index_map, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "subseries", "inner": _power(), "indexMap": index_map}))
+    assert main(["term", "--spec", str(path), "--n", "1"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-parameter"
 
 

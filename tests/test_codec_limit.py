@@ -1,10 +1,14 @@
-"""int_to_str equals str() whatever the interpreter's int/str digit limit.
+"""int_to_str equals str() whatever the interpreter's int/str digit limit,
+and str_to_int reads its text back.
 
-Below the divide-and-conquer cut-over int_to_str calls str() when the
-current limit allows the value, so each limit is tried in a fresh
-interpreter started with it; the limit must read the same afterwards.
-Values m * 2**t with a small odd part m take the one-Decimal-power path
-from the cut-over up, at every size to the default digit budget.
+Neither conversion reads the limit: up to the cut-overs the builtins are
+called only on sizes that every setting of the limit allows, and past
+them the divide-and-conquer leaves are no larger. Each limit is still
+tried in a fresh interpreter started with it; the limit must read the
+same afterwards. Past the int->str cut-over, the odd part m of
+m * 2**t goes through the divide-and-conquer and 2**t is one Decimal
+power, so odd parts around the leaf size meet shifts up to the default
+digit budget.
 
 str() is quadratic before CPython 3.12: it takes about 20 s for a
 million digits. Above ORACLE_BITS the expected text is therefore
@@ -25,7 +29,8 @@ from seriescert.serialize import int_to_str, str_to_int
 
 VALUES = """
 import random
-from seriescert.serialize import (_INT_TO_STR_CUTOVER_BITS as LOW, _STR_FASTER_BELOW_BITS as CUT)
+from seriescert.serialize import _INT_TO_STR_CUTOVER_BITS as LOW
+CUT = 44_000
 rng = random.Random(7)
 values = []
 for bits in (1, 64, 2048, 2049, 2127, 2128, 2200, 14_000, 14_285, 14_286, 14_400, CUT - 1, CUT,
@@ -33,10 +38,10 @@ for bits in (1, 64, 2048, 2049, 2127, 2128, 2200, 14_000, 14_285, 14_286, 14_400
     top = 1 << (bits - 1)
     values += [top, 2 * top - 1, rng.getrandbits(bits) | top]
 values += [10**k + d for k in (639, 640, 4299, 4300) for d in (-1, 0)]
-# odd parts below 2**128 take the Decimal power; 2**128 + 1 is the first
-# that does not, nor does 5**k, the odd part of 10**k
+# odd parts at both sides of the divide-and-conquer leaf size, 2**2048,
+# and 5**k, the odd part of 10**k
 for t in (LOW - 1, LOW, LOW + 1, CUT - 1, CUT + 1, 527_359, 3_300_000):
-    values += [m << t for m in (1, 3, 2**128 - 1, 2**128 + 1)]
+    values += [m << t for m in (1, 3, 2**128 - 1, 2**128 + 1, 2**2048 - 1, 2**2048 + 1)]
     k = t * 30103 // 100000  # 10**k has about t bits
     values += [10**k + d for d in (-1, 0, 1)]
 values += [-v for v in values]
@@ -44,11 +49,13 @@ values += [-v for v in values]
 
 SCRIPT = VALUES + """
 import hashlib, json, sys
-from seriescert.serialize import int_to_str
+from seriescert.serialize import int_to_str, str_to_int
 read_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # none before 3.11
 limit = read_limit()
-digests = [hashlib.sha256(int_to_str(v).encode()).hexdigest() for v in values]
-print(json.dumps({"unchanged": read_limit() == limit, "digests": digests}))
+texts = [int_to_str(v) for v in values]
+digests = [hashlib.sha256(text.encode()).hexdigest() for text in texts]
+unread = [i for i, (v, text) in enumerate(zip(values, texts)) if str_to_int(text) != v]
+print(json.dumps({"unchanged": read_limit() == limit, "digests": digests, "unread": unread}))
 """
 
 ORACLE_BITS = 100_000
@@ -92,3 +99,4 @@ def test_int_to_str_equals_str_at_every_limit(limit, expected_digests, fresh_int
     result = json.loads(proc.stdout)
     assert result["unchanged"] is True
     assert result["digests"] == expected_digests
+    assert result["unread"] == []

@@ -46,6 +46,11 @@ def test_zero_polynomial_rejected():
         PolynomialInt(())
 
 
+def test_non_integer_coefficient_rejected():
+    with pytest.raises(InvalidParameterError, match="coefficients must be integers"):
+        PolynomialInt((1, Fraction(1, 2)))
+
+
 def test_evaluate():
     p = PolynomialInt((-1, 1, 1))  # x^2 + x - 1
     assert p.evaluate(Fraction(1, 2)) == Fraction(-1, 4)
@@ -62,6 +67,11 @@ def test_evaluate_interval_contains_point_values():
 def test_evaluate_interval_degree_zero():
     p = PolynomialInt((7,))
     assert p.evaluate_interval(Fraction(0), Fraction(1)) == (7, 7)
+
+
+def test_evaluate_interval_rejects_reversed_endpoints():
+    with pytest.raises(InvalidParameterError, match="out of order"):
+        PolynomialInt((1, 1)).evaluate_interval(Fraction(1, 2), Fraction(1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,11 @@ def test_subseries_affine_picks_odd_indices():
     assert term(sub, 3) == 2**256
 
 
+def test_subseries_wants_an_index_map():
+    with pytest.raises(InvalidIndexMapError, match="not an index map"):
+        subseries(P4, (2, 4))
+
+
 def test_subseries_explicit_indices():
     sub = Subseries(P4, ExplicitIndices((2, 4)))
     assert term(sub, 1) == 16
@@ -107,6 +112,11 @@ def test_explicit_indices_validation():
         ExplicitIndices((3, 3))
     with pytest.raises(InvalidIndexMapError):
         ExplicitIndices((0, 1))
+
+
+def test_checked_pow_rejects_a_negative_exponent():
+    with pytest.raises(InvalidParameterError, match="negative exponents"):
+        checked_pow(2, -1)
 
 
 def test_checked_pow_budget():

@@ -73,6 +73,11 @@ def test_spec_from_obj_rejects_unknown_family():
         spec_from_obj({"family": "power", "a1": "2", "e": "4", "startOffset": "1"})
 
 
+def test_spec_obj_rejects_what_is_not_a_spec():
+    with pytest.raises(InvalidParameterError, match="not a sequence spec"):
+        spec_obj(Affine(2, -1))
+
+
 def test_int_strings():
     assert int_to_str(0) == "0"
     assert int_to_str(-17) == "-17"
@@ -181,6 +186,22 @@ def test_int_codec_at_powers_of_ten(k):
     assert int_to_str(-(10**k) - 1) == "-1" + "0" * (k - 1) + "1"
     assert str_to_int("1" + "0" * k) == 10**k
     assert str_to_int("-" + "9" * k) == -(10**k - 1)
+
+
+def test_int_to_str_never_reads_the_digit_limit(monkeypatch):
+    rng = random.Random(11)
+    values = []
+    for bits in (2049, 14_000, 44_000):
+        odd = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        values += [odd, -odd, (odd >> 300) << 300, 3 << bits - 2]
+    with builtin_oracle():
+        expected = [str(v) for v in values]
+
+    def unreadable():
+        raise AssertionError("int_to_str read the int/str digit limit")
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", unreadable, raising=False)
+    assert [int_to_str(v) for v in values] == expected
 
 
 def test_int_codec_at_zero():

@@ -16,7 +16,8 @@ and a_m = b**E1 with E1 > E0, a_{m-1} divides a_m; if moreover
 q_{m-1} = a_{m-1}, then p_m/q_m = (p_{m-1} b**(E1-E0) + 1)/a_m, with no
 gcd and no division. That fraction is reduced exactly when its
 numerator, which is 1 mod b, is prime to b, and the step still checks
-this (as gcd(p mod b, b) = 1, a gcd with a small integer). q_1 = a_1, so
+this without a division by b: with b = o * 2**t, o odd, p must be odd
+if t > 0 (a bit test) and gcd(p mod o, o) = 1 if o > 1. q_1 = a_1, so
 along such a sequence every q_m is a_m and every step chains. Any other
 step (explicit terms, a1 = 1, or a q that is not the previous term) is
 Henrici's addition, the generic step, which tests use as the oracle.
@@ -44,6 +45,7 @@ from .sequences import (
     _as_positive_fraction,
     _compare_products,
     _decimal,
+    _odd_part,
     _pass_memo,
     _times,
     _window,
@@ -101,8 +103,9 @@ def _add_term(
     a_prev, (b0, e0), (b, e1) = link or (0, (0, 0), (0, 0))
     if b == b0 >= 2 and e1 > e0 and conv.q == a_prev:
         p, q = _times(conv.p, checked_pow(b, e1 - e0, digit_budget)) + 1, a
-        # q = b**E1, so gcd(p, q) == 1 exactly when p mod b is prime to b
-        reduced = math.gcd(p % b, b) == 1
+        # q = b**E1, b = o * 2**t: p must be odd if t > 0, prime to o if o > 1
+        o, t = _odd_part(b)
+        reduced = (t == 0 or p & 1 == 1) and (o == 1 or math.gcd(p % o, o) == 1)
     else:
         g = math.gcd(conv.q, a)
         s = conv.q // g

@@ -48,12 +48,13 @@ from .sequences import (
     _budget_check,
     _compare_products,
     _decimal,
+    _odd_part,
     check_sandwich,
     compare_power,
     one_pass,
     term_stream,
 )
-from .serialize import _odd_part, lowest_terms, spec_fingerprint
+from .serialize import lowest_terms, spec_fingerprint
 
 
 @dataclass(frozen=True)

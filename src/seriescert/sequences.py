@@ -121,8 +121,14 @@ def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
     """
     _budget_check(base, exp, digit_budget)
     # the factor of two in the base is a shift: 2**E costs no squaring
-    twos = (base & -base).bit_length() - 1 if base else 0
-    return (base >> twos) ** exp << twos * exp
+    odd, twos = _odd_part(base) if base else (0, 0)
+    return odd**exp << twos * exp
+
+
+def _odd_part(n: int) -> tuple[int, int]:
+    """(m, t) with n = m * 2**t and m odd, for n != 0."""
+    t = (n & -n).bit_length() - 1
+    return n >> t, t
 
 
 def _times(x: int, y: int) -> int:
@@ -132,8 +138,8 @@ def _times(x: int, y: int) -> int:
     every partial-sum denominator; multiplying by one is then linear in
     the operand sizes instead of a full product of big integers.
     """
-    twos = (y & -y).bit_length() - 1
-    return x * (y >> twos) << twos
+    odd, twos = _odd_part(y)
+    return x * odd << twos
 
 
 def _compare_products(

@@ -34,6 +34,7 @@ from .sequences import (
     PowerRecurrence,
     SequenceSpec,
     Subseries,
+    _odd_part,
 )
 
 # Below these sizes the builtin conversions are used. CPython refuses
@@ -222,12 +223,6 @@ def require_key(obj: dict, key: str, name: str) -> Any:
 
 def rational_obj(value: Fraction) -> dict:
     return {"num": int_to_str(value.numerator), "den": int_to_str(value.denominator)}
-
-
-def _odd_part(n: int) -> tuple[int, int]:
-    """(m, t) with n = m * 2**t and m odd, for n != 0."""
-    t = (n & -n).bit_length() - 1
-    return n >> t, t
 
 
 def lowest_terms(n: int, d: int) -> tuple[int, int]:

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from seriescert import (
     Affine,
     DigitBudgetError,
+    ExactnessError,
     Explicit,
     ExplicitIndices,
     FactorialExponent,
@@ -44,7 +45,10 @@ sequences = importlib.import_module("seriescert.sequences")
 offsets = st.integers(min_value=1, max_value=2)
 sparse_a1 = st.integers(min_value=1, max_value=64).map(lambda k: 2**k)
 dense_a1 = st.integers(min_value=2, max_value=10**6)
-powers = st.builds(PowerRecurrence, sparse_a1 | dense_a1, st.integers(2, 4), offsets)
+# o * 2**t with o > 1 odd and t > 0: the chain step checks each factor apart
+mixed_a1 = st.builds(lambda o, t: o * 2**t, st.integers(1, 5 * 10**5).map(lambda k: 2 * k + 1),
+                     st.integers(1, 64)) | st.sampled_from([3 * 2**512, (10**6 + 3) * 2**40])
+powers = st.builds(PowerRecurrence, sparse_a1 | dense_a1 | mixed_a1, st.integers(2, 4), offsets)
 factorials = st.builds(FactorialExponent, st.integers(2, 12), st.integers(0, 5), offsets)
 affine = st.tuples(st.integers(1, 2), st.integers(-1, 0)).filter(lambda g: sum(g) >= 1).map(
     lambda g: Affine(*g)
@@ -128,6 +132,26 @@ def test_chain_step_on_the_classic_series():
     assert conv.value == sum(Fraction(1, 2**e) for e in (1, 4, 16, 64))
     assert conv.q == 2**64
     assert taken == [3, 12, 48]
+
+
+@pytest.mark.parametrize(
+    "spec, corrupt",
+    [
+        # p even: only the bit test sees it
+        (PowerRecurrence(2**512, 4), -1),
+        # p divisible by 3: only the odd part sees it
+        (PowerRecurrence(3, 4), -1),
+        # p even and prime to 3: the bit test alone catches it
+        (PowerRecurrence(3 * 2**40, 3), 1),
+        # p odd and divisible by 3: the gcd with the odd part alone catches it
+        (PowerRecurrence(3 * 2**40, 3), 2),
+    ],
+)
+def test_chain_step_refuses_a_sum_that_is_not_reduced(monkeypatch, spec, corrupt):
+    monkeypatch.setattr(convergents, "checked_pow",
+                        lambda b, e, *args: checked_pow(b, e, *args) + corrupt)
+    with pytest.raises(ExactnessError, match="not reduced"):
+        _prefix_sums(spec)(2)
 
 
 @pytest.mark.parametrize(

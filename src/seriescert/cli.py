@@ -29,14 +29,12 @@ import json
 import sys
 from typing import Optional
 
-from .convergents import _prefix_sums, partial_sum, shrink_factor
+from .convergents import TailShrink, _prefix_sums, partial_sum
 from .enclosure import enclose
 from .errors import DigitBudgetError, InvalidParameterError, SeriesCertError
 from .measure import (
     PolynomialInt,
     _minimum,
-    _q_exponent_ok,
-    _q_growth_ok,
     _scaled_brackets,
     verify_measure,
 )
@@ -46,8 +44,7 @@ from .sequences import (
     SequenceSpec,
     _as_k,
     _as_positive_fraction,
-    _lower_order,
-    _upper_holds,
+    _Verdicts,
     _window,
     one_pass,
     term,
@@ -116,25 +113,22 @@ def _run_analyze(config: argparse.Namespace) -> int:
     k = _as_k(parse_rational(config.k, "k", budget)) if config.k else None
     first, last = _window(config.first, config.last)
 
-    a, s = term_stream(spec, budget), _prefix_sums(spec, budget)
+    a, s, v = term_stream(spec, budget), _prefix_sums(spec, budget), _Verdicts(alpha, k, budget)
     rows = []
     all_pass = True
     for n in range(first, last + 1):
         (conv, product), a_n, a_next = s(n), a(n), a(n + 1)
-        lower = _lower_order(a_n, a_next, alpha, budget)
-        checks = {
-            "growth": lower is Ordering.GREATER,
-            "q_exp_bound": _q_exponent_ok(conv.q, a_n, alpha, budget),
-        }
-        shrink = shrink_factor(spec, alpha, n, budget).log10_approx
+        lower = v.lower_order(a_n, a_next)
+        checks = {"growth": lower is Ordering.GREATER, "q_exp_bound": v.q_exponent_ok(conv.q, a_n)}
+        shrink = TailShrink(n, product, a_next, alpha).log10_approx
         if k is not None:
             checks["sandwich_lower"] = lower is not Ordering.LESS
-            checks["sandwich_upper"] = _upper_holds(a_n, a_next, alpha, k, budget)
-            checks["q_growth"] = _q_growth_ok(conv.q, s(n + 1)[0].q, alpha, k, budget)
+            checks["sandwich_upper"] = v.upper_holds(a_n, a_next)
+            checks["q_growth"] = v.q_growth_ok(conv.q, s(n + 1)[0].q)
         row = dict.fromkeys(ANALYZE_COLUMNS, "")
         # denom_bound passes: the sum step raises ExactnessError otherwise
-        row.update(n=n, digits=decimal_digits(a_n), log10_shrink=f"{shrink:.6g}")
-        row.update(denom_bound="pass")
+        row.update(n=n, digits=decimal_digits(a_n), log10_shrink=f"{shrink:.6g}",
+                   denom_bound="pass")
         row.update((name, "pass" if ok else "fail") for name, ok in checks.items())
         rows.append(row)
         all_pass = all_pass and all(checks.values())

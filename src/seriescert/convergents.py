@@ -20,9 +20,10 @@ this without a division by b: with b = o * 2**t, o odd, p must be odd
 if t > 0 (a bit test) and gcd(p mod o, o) = 1 if o > 1. q_1 = a_1, so
 along such a sequence every q_m is a_m and every step chains. Any other
 step (explicit terms, a1 = 1, or a q that is not the previous term) is
-Henrici's addition, the generic step, which tests use as the oracle.
-Products by a term shift by its factor of two, so with a_1 = 2**k the
-chain step is two shifts and an addition.
+Henrici's addition, the generic step, with its factors of two cancelled
+by shifts before any gcd. The chain step shifts p by t*(E1-E0) after the
+power of o, and the product by the t*E1 twos of a_m, read from the
+exponent form: with a_1 = 2**k it is two shifts and an addition.
 
 The shrink factor b_n = (a_1 a_2 ... a_n)^alpha / a_{n+1} is held as the
 exact pair (product, next term) plus the exponent. It is never realized
@@ -43,13 +44,14 @@ from .sequences import (
     Ordering,
     SequenceSpec,
     _as_positive_fraction,
+    _budget_check,
     _compare_products,
     _decimal,
     _odd_part,
     _pass_memo,
     _times,
+    _times_pow,
     _window,
-    checked_pow,
     exponent_form,
     one_pass,
     term_stream,
@@ -81,7 +83,14 @@ class TailShrink:
     product: int
     next_term: int
     alpha: Fraction
-    log10_approx: float
+
+    @property
+    def log10_approx(self) -> float:
+        try:
+            scaled = float(self.alpha) * math.log10(self.product)
+        except OverflowError:  # alpha beyond float range; a product of 1 adds 0
+            scaled = 0.0 if self.product == 1 else math.inf
+        return scaled - math.log10(self.next_term)
 
 
 def _add_term(
@@ -97,23 +106,27 @@ def _add_term(
     when known. If q = a_{m-1} = b**E0 and a = b**E1 with E1 > E0, then
     a_{m-1} divides a and the step is the chain step p*b**(E1-E0) + 1
     over a; otherwise it is Henrici's addition (as in Fraction): p/q is
-    reduced, so only the common factor of q and a can cancel.
+    reduced, so only g = gcd(q, a) can cancel, its factor of two by shifts.
     """
     m = conv.m + 1
     a_prev, (b0, e0), (b, e1) = link or (0, (0, 0), (0, 0))
     if b == b0 >= 2 and e1 > e0 and conv.q == a_prev:
-        p, q = _times(conv.p, checked_pow(b, e1 - e0, digit_budget)) + 1, a
-        # q = b**E1, b = o * 2**t: p must be odd if t > 0, prime to o if o > 1
-        o, t = _odd_part(b)
+        _budget_check(b, e1 - e0, digit_budget)
+        (o, t), q = _odd_part(b), a
+        p, twos = _times_pow(conv.p, b, e1 - e0) + 1, t * e1
+        # q = b**E1: p must be odd if t > 0, prime to o if o > 1
         reduced = (t == 0 or p & 1 == 1) and (o == 1 or math.gcd(p % o, o) == 1)
     else:
-        g = math.gcd(conv.q, a)
-        s = conv.q // g
-        t = conv.p * (a // g) + s
-        g2 = math.gcd(t, g)
-        p, q = t // g2, s * (a // g2)
-        reduced = math.gcd(p, q) == 1
-    product = _times(product, a)
+        # q = qo*2**qt, a = ao*2**twos, g = go*2**gt, p*(a/g) + q/g = to*2**tt,
+        # and gcd(that, g) = g2*2**shift: the gcds see odd parts only
+        (qo, qt), (ao, twos) = _odd_part(conv.q), _odd_part(a)
+        go, gt = math.gcd(qo, ao), min(qt, twos)
+        to, tt = _odd_part(conv.p * (ao // go << twos - gt) + (qo // go << qt - gt))
+        g2, shift = math.gcd(go, to), min(tt, gt)
+        p_odd, q_odd = to // g2, qo // go * (ao // g2)
+        p, q = p_odd << tt - shift, q_odd << qt - gt + twos - shift
+        reduced = (p & 1 or q & 1) and math.gcd(q_odd, p_odd) == 1
+    product = _times(product, a, twos)
     if not reduced:
         raise ExactnessError(f"partial sum at m={m} is not reduced: {_decimal(p)}/{_decimal(q)}")
     if q > product:
@@ -134,12 +147,9 @@ def _prefix_sums(
     def s(m: int) -> tuple[Convergent, int]:
         while len(built) <= m:
             n = len(built)
-            conv, product = built[-1]
-            link = None
-            if n > 1:
-                forms = (exponent_form(spec, i, digit_budget) for i in (n - 1, n))
-                link = (a(n - 1), *forms)
-            built.append(_add_term(conv, product, a(n), link, digit_budget))
+            forms = (exponent_form(spec, i, digit_budget) for i in (n - 1, n))
+            link = (a(n - 1), *forms) if n > 1 else None
+            built.append(_add_term(*built[-1], a(n), link, digit_budget))
         return built[m]
 
     return s
@@ -187,12 +197,7 @@ def shrink_factor(
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     alpha = _as_positive_fraction(alpha, "alpha")
     product = _prefix_sums(spec, digit_budget)(n)[1]
-    next_term = term_stream(spec, digit_budget)(n + 1)
-    try:
-        scaled = float(alpha) * math.log10(product)
-    except OverflowError:  # alpha beyond float range; a product of 1 adds 0
-        scaled = 0.0 if product == 1 else math.inf
-    return TailShrink(n, product, next_term, alpha, scaled - math.log10(next_term))
+    return TailShrink(n, product, term_stream(spec, digit_budget)(n + 1), alpha)
 
 
 def shrink_less_than(

@@ -74,7 +74,7 @@ class AlphaTooSmallError(SeriesCertError):
 
 
 class HypothesisFailedError(SeriesCertError):
-    """The growth hypothesis failed inside the verification window."""
+    """A growth hypothesis (growth or sandwich) failed inside the window."""
 
     code = "hypothesis-failed"
 

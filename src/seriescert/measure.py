@@ -34,6 +34,7 @@ from .convergents import _prefix_sums, convergent_range, partial_sum
 from .enclosure import Enclosure, enclose, refine, tail_bound
 from .errors import (
     EnumerationTooLargeError,
+    HypothesisFailedError,
     InconclusiveError,
     InvalidParameterError,
     NotFoundBelowNMaxError,
@@ -49,8 +50,8 @@ from .sequences import (
     _compare_products,
     _decimal,
     _odd_part,
-    check_sandwich,
-    compare_power,
+    _Verdicts,
+    _window_report,
     one_pass,
     term_stream,
 )
@@ -221,19 +222,6 @@ def bound(
     )
 
 
-def _q_exponent_ok(q_n: int, a_n: int, alpha: Fraction, digit_budget: int) -> bool:
-    """q_n <= a_n^((alpha+1)/alpha), cleared with alpha = p/s to
-    q_n^p <= a_n^(p+s)."""
-    return compare_power(q_n, a_n, (alpha + 1) / alpha, digit_budget) is not Ordering.GREATER
-
-
-def _q_growth_ok(
-    q_n: int, q_next: int, alpha: Fraction, k: Fraction, digit_budget: int
-) -> bool:
-    """q_{n+1} < q_n^(k*(alpha+1))."""
-    return compare_power(q_next, q_n, k * (alpha + 1), digit_budget) is Ordering.LESS
-
-
 @one_pass()
 def qn_exponent_bound_holds(
     spec: SequenceSpec,
@@ -242,11 +230,11 @@ def qn_exponent_bound_holds(
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> bool:
     """Exact check q_n <= a_n^((alpha+1)/alpha)."""
-    alpha = _as_positive_fraction(alpha, "alpha")
+    v = _Verdicts(_as_positive_fraction(alpha, "alpha"), None, digit_budget)
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     q = partial_sum(spec, n, digit_budget).q
-    return _q_exponent_ok(q, term_stream(spec, digit_budget)(n), alpha, digit_budget)
+    return v.q_exponent_ok(q, term_stream(spec, digit_budget)(n))
 
 
 def q_growth_holds(
@@ -257,12 +245,11 @@ def q_growth_holds(
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> bool:
     """Exact check q_{n+1} < q_n^(k*(alpha+1))."""
-    alpha = _as_positive_fraction(alpha, "alpha")
-    k = _as_k(k)
+    v = _Verdicts(_as_positive_fraction(alpha, "alpha"), _as_k(k), digit_budget)
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     s = _prefix_sums(spec, digit_budget)
-    return _q_growth_ok(s(n)[0].q, s(n + 1)[0].q, alpha, k, digit_budget)
+    return v.q_growth_ok(s(n)[0].q, s(n + 1)[0].q)
 
 
 def find_n1(
@@ -317,18 +304,11 @@ def abs_lower_bound(P: PolynomialInt, enc: Enclosure) -> Fraction:
     return Fraction(*lowest_terms(low, scale))
 
 
-def _require_sandwich(
-    spec: SequenceSpec,
-    alpha: Fraction,
-    k: Fraction,
-    first: int,
-    last: int,
-    digit_budget: int,
-) -> None:
-    failures = check_sandwich(spec, alpha, k, first, last, digit_budget).failures()
-    if failures:
-        raise InvalidParameterError(
-            f"sandwich hypothesis violated at n={failures[0]}"
+def _require_sandwich(spec: SequenceSpec, v: _Verdicts, first: int, last: int) -> None:
+    """The sandwich on first..last; its first failure is a violated hypothesis."""
+    for failed_at in _window_report(spec, v, first, last).failures():
+        raise HypothesisFailedError(
+            f"sandwich hypothesis violated at n={failed_at}", index=failed_at
         )
 
 
@@ -374,11 +354,12 @@ def verify_measure(
             f"declared height {_decimal(H)} is smaller than actual height {_decimal(P.height)}"
         )
     target = bound(d, H, alpha, k)
+    v = _Verdicts(alpha, target.k, digit_budget)
 
     m0 = 1
     while not target.greater_than(4 * tail_bound(spec, m0, digit_budget), digit_budget):
         m0 += 1
-    _require_sandwich(spec, alpha, k, 1, m0 + 1, digit_budget)
+    _require_sandwich(spec, v, 1, m0 + 1)
 
     enc = enclose(spec, m0, digit_budget)
     refinements = 0
@@ -400,7 +381,7 @@ def verify_measure(
         enc = refine(spec, enc, digit_budget)
         refinements += 1
         n = enc.terms_used + 1
-        _require_sandwich(spec, alpha, k, n, n, digit_budget)
+        _require_sandwich(spec, v, n, n)
 
 
 def enumerate_brackets(

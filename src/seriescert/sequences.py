@@ -19,8 +19,11 @@ All comparisons with fractional exponents are decided exactly: x vs
 y**(p/s) is resolved by comparing the integers x**s and y**p.  When the
 bit lengths of x and y already place x**s and y**p in disjoint ranges
 of powers of two, that settles it and neither power is built.  Nothing
-in this module ever rounds.  Powers and products apply their factor of
-two as a shift, so for a_1 = 2**k no term costs a squaring.
+in this module ever rounds; the verdict exponents (alpha+1, k*alpha)
+are fixed once per call (:class:`_Verdicts`), not on every row.  Powers
+and products apply their factor of two as a shift, so for a_1 = 2**k no
+term costs a squaring; b = o * 2**t gives a_n = b**E_n its t*E_n twos,
+so the sum step and the running product never scan a term for them.
 
 Every family but ``Explicit`` has a_n = b**E_n with E_n increasing in n
 (n! + c, e**(n-1), or either through a strictly increasing index map).
@@ -42,7 +45,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -120,9 +123,7 @@ def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
     when it could not be stored within budget.
     """
     _budget_check(base, exp, digit_budget)
-    # the factor of two in the base is a shift: 2**E costs no squaring
-    odd, twos = _odd_part(base) if base else (0, 0)
-    return odd**exp << twos * exp
+    return _times_pow(1, base, exp)
 
 
 def _odd_part(n: int) -> tuple[int, int]:
@@ -131,15 +132,19 @@ def _odd_part(n: int) -> tuple[int, int]:
     return n >> t, t
 
 
-def _times(x: int, y: int) -> int:
-    """``x * y`` for y >= 1, with the factor of two in y applied as a shift.
+def _times_pow(x: int, base: int, exp: int) -> int:
+    """``x * base**exp``, with no size check (callers make it first): the
+    odd part of base is raised and its factor of two applied as a shift,
+    so 2**E costs no squaring."""
+    odd, twos = _odd_part(base) if base else (0, 0)
+    return x * odd**exp << twos * exp
 
-    Every term of a series with a_1 = 2**k is a power of two, and so is
-    every partial-sum denominator; multiplying by one is then linear in
-    the operand sizes instead of a full product of big integers.
-    """
-    odd, twos = _odd_part(y)
-    return x * odd << twos
+
+def _times(x: int, y: int, twos: int) -> int:
+    """``x * y`` for y >= 1 divisible by 2**twos, twos read from y's
+    exponent form and not scanned: with a_1 = 2**k every term is a power
+    of two, and a product by one is a shift, linear in the operand sizes."""
+    return x * (y >> twos) << twos
 
 
 def _compare_products(
@@ -152,23 +157,24 @@ def _compare_products(
 
     Every factor first passes the size check of :func:`checked_pow`, in
     order, so a comparison the budget refuses is refused as before. A
-    base of bit length L lies in [2**(L-1), 2**L), so each product lies
-    in [2**sum(k*(L-1)), 2**sum(k*L)); when the two ranges do not
-    overlap the ordering is settled without building any power, and
+    base of bit length L lies in [2**(L-1), 2**L), so lhs/rhs lies
+    strictly between 2**low and 2**high, low the sum of k*(L-1) over lhs
+    less that of k*L over rhs and high the other way round; when 1 is
+    outside, the ordering is settled without building any power, and
     only otherwise are the products built and compared.
     """
-    for x, k in lhs + rhs:
+    low = high = 0
+    for x, k in lhs:
         _budget_check(x, k, digit_budget)
-    low_l = sum(k * (x.bit_length() - 1) for x, k in lhs)
-    high_l = sum(k * x.bit_length() for x, k in lhs)
-    low_r = sum(k * (x.bit_length() - 1) for x, k in rhs)
-    high_r = sum(k * x.bit_length() for x, k in rhs)
-    if low_l >= high_r:
+        low, high = low + k * (x.bit_length() - 1), high + k * x.bit_length()
+    for x, k in rhs:
+        _budget_check(x, k, digit_budget)
+        low, high = low - k * x.bit_length(), high - k * (x.bit_length() - 1)
+    if low >= 0:
         return Ordering.GREATER
-    if low_r >= high_l:
+    if high <= 0:
         return Ordering.LESS
-    left = reduce(_times, (checked_pow(x, k, digit_budget) for x, k in lhs), 1)
-    right = reduce(_times, (checked_pow(x, k, digit_budget) for x, k in rhs), 1)
+    left, right = (reduce(lambda acc, f: _times_pow(acc, *f), side, 1) for side in (lhs, rhs))
     return Ordering((left > right) - (left < right))
 
 
@@ -390,10 +396,7 @@ def term_stream(
 
 
 def compare_power(
-    x: int,
-    y: int,
-    e: Fraction,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
+    x: int, y: int, e: Fraction, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Ordering:
     """Exact ordering of x versus y**e for positive integers x, y.
 
@@ -404,8 +407,45 @@ def compare_power(
     """
     if x < 1 or y < 1:
         raise InvalidParameterError("compare_power needs positive integers")
-    e = _as_positive_fraction(e, "exponent")
+    return _versus(x, y, _as_positive_fraction(e, "exponent"), digit_budget)
+
+
+def _versus(x: int, y: int, e: Fraction, digit_budget: int) -> Ordering:
+    """The comparison of :func:`compare_power`, for arguments already valid."""
     return _compare_products(((x, e.denominator),), ((y, e.numerator),), digit_budget)
+
+
+@dataclass(frozen=True)
+class _Verdicts:
+    """The per-index verdicts of one call. Their exponents are made once,
+    on first use, and not on every row."""
+
+    alpha: Fraction
+    k: Optional[Fraction]  # None: the growth check alone
+    digit_budget: int
+
+    lift = cached_property(lambda v: v.alpha + 1)
+    cap = cached_property(lambda v: v.k * v.alpha)
+    q_lift = cached_property(lambda v: v.lift / v.alpha)
+    q_cap = cached_property(lambda v: v.k * v.lift)
+
+    def lower_order(self, a_n: int, a_next: int) -> Ordering:
+        """a_{n+1} against a_n**(alpha+1): GREATER is the growth hypothesis
+        at n, anything but LESS the lower half of the sandwich."""
+        return _versus(a_next, a_n, self.lift, self.digit_budget)
+
+    def upper_holds(self, a_n: int, a_next: int) -> bool:
+        """a_{n+1} < a_n**(k*alpha), the upper half of the sandwich."""
+        return _versus(a_next, a_n, self.cap, self.digit_budget) is Ordering.LESS
+
+    def q_exponent_ok(self, q_n: int, a_n: int) -> bool:
+        """q_n <= a_n**((alpha+1)/alpha), that is q_n**p <= a_n**(p+s) for
+        alpha = p/s."""
+        return _versus(q_n, a_n, self.q_lift, self.digit_budget) is not Ordering.GREATER
+
+    def q_growth_ok(self, q_n: int, q_next: int) -> bool:
+        """q_{n+1} < q_n**(k*(alpha+1))."""
+        return _versus(q_next, q_n, self.q_cap, self.digit_budget) is Ordering.LESS
 
 
 @dataclass(frozen=True)
@@ -445,43 +485,21 @@ def _window(first: int, last: int) -> tuple[int, int]:
     return (first, last)
 
 
-def _lower_order(a_n: int, a_next: int, alpha: Fraction, digit_budget: int) -> Ordering:
-    """a_{n+1} against a_n**(alpha+1): GREATER is the growth hypothesis at
-    n, anything but LESS the lower half of the sandwich."""
-    return compare_power(a_next, a_n, alpha + 1, digit_budget)
-
-
-def _upper_holds(
-    a_n: int, a_next: int, alpha: Fraction, k: Fraction, digit_budget: int
-) -> bool:
-    """a_{n+1} < a_n**(k*alpha), the upper half of the sandwich."""
-    return compare_power(a_next, a_n, k * alpha, digit_budget) is Ordering.LESS
-
-
-def _window_report(
-    spec: SequenceSpec,
-    alpha: Fraction,
-    k: Optional[Fraction],
-    first: int,
-    last: int,
-    digit_budget: int,
-) -> GrowthReport:
-    """Growth checks (k is None) or sandwich checks at first..last."""
-    a = term_stream(spec, digit_budget)
+def _window_report(spec: SequenceSpec, v: _Verdicts, first: int, last: int) -> GrowthReport:
+    """Growth checks (v.k is None) or sandwich checks at first..last."""
+    a = term_stream(spec, v.digit_budget)
     checks = []
     for n in range(first, last + 1):
-        lower = _lower_order(a(n), a(n + 1), alpha, digit_budget)
-        if k is None:
+        lower = v.lower_order(a(n), a(n + 1))
+        if v.k is None:
             checks.append(GrowthCheck(n, lower is Ordering.GREATER))
         else:
-            upper = _upper_holds(a(n), a(n + 1), alpha, k, digit_budget)
+            upper = v.upper_holds(a(n), a(n + 1))
             checks.append(GrowthCheck(n, lower is not Ordering.LESS, upper))
-    first_from: Optional[int] = None
-    for check in reversed(checks):
-        if not check.all_hold():
-            break
-        first_from = check.n
-    return GrowthReport(alpha, k, (first, last), tuple(checks), first_from)
+    # every check holds from just past the last failure on
+    start = max((c.n + 1 for c in checks if not c.all_hold()), default=first)
+    first_from = start if start <= last else None
+    return GrowthReport(v.alpha, v.k, (first, last), tuple(checks), first_from)
 
 
 def check_growth(
@@ -494,7 +512,7 @@ def check_growth(
     """Check a_{n+1} > a_n**(alpha+1) (strict) for every n in first..last."""
     alpha = _as_positive_fraction(alpha, "alpha")
     first, last = _window(first, last)
-    return _window_report(spec, alpha, None, first, last, digit_budget)
+    return _window_report(spec, _Verdicts(alpha, None, digit_budget), first, last)
 
 
 def check_sandwich(
@@ -513,7 +531,7 @@ def check_sandwich(
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_k(k)
     first, last = _window(first, last)
-    return _window_report(spec, alpha, k, first, last, digit_budget)
+    return _window_report(spec, _Verdicts(alpha, k, digit_budget), first, last)
 
 
 def subseries(spec: SequenceSpec, index_map: IndexMap) -> Subseries:

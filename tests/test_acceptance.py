@@ -226,6 +226,7 @@ def test_criterion_8_cli_round_trip_and_exit_codes(tmp_path, capsys):
     assert main(["measure", "--spec", str(p4_path), "--alpha", "4", "--k", "2",
                  "--coeffs", "-1,1,1"]) == 2
     err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "hypothesis-failed" and err["index"] == 1
     assert err["message"] == "sandwich hypothesis violated at n=1"
 
     # exit 1: analysis completes but reports failures

@@ -70,7 +70,8 @@ def test_measure_invalid_hypothesis(p4_path, capsys):
                  "--coeffs", "-1,1,1"])
     assert code == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "invalid-parameter"
+    assert err["error"] == "hypothesis-failed"
+    assert err["index"] == 1
     assert err["message"] == "sandwich hypothesis violated at n=1"
 
 

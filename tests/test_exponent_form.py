@@ -37,7 +37,7 @@ from seriescert import (
 )
 from seriescert.convergents import Convergent, _add_term, _prefix_sums
 from seriescert.errors import SeriesCertError
-from seriescert.sequences import _compare_products
+from seriescert.sequences import _compare_products, _times_pow
 
 convergents = importlib.import_module("seriescert.convergents")
 sequences = importlib.import_module("seriescert.sequences")
@@ -78,11 +78,11 @@ def henrici_sums(spec, last):
 @contextlib.contextmanager
 def chain_steps():
     """Exponents E1 - E0 of the chain steps taken inside the block (each
-    calls checked_pow in convergents once)."""
+    multiplies p by b**(E1-E0) through _times_pow in convergents once)."""
     taken = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(convergents, "checked_pow",
-                   lambda b, e, *args: taken.append(e) or checked_pow(b, e, *args))
+        mp.setattr(convergents, "_times_pow",
+                   lambda x, b, e: taken.append(e) or _times_pow(x, b, e))
         yield taken
 
 
@@ -148,8 +148,9 @@ def test_chain_step_on_the_classic_series():
     ],
 )
 def test_chain_step_refuses_a_sum_that_is_not_reduced(monkeypatch, spec, corrupt):
-    monkeypatch.setattr(convergents, "checked_pow",
-                        lambda b, e, *args: checked_pow(b, e, *args) + corrupt)
+    # at m = 2, p = 1: the numerator is b**(E1-E0) + corrupt + 1
+    monkeypatch.setattr(convergents, "_times_pow",
+                        lambda x, b, e: _times_pow(x, b, e) + corrupt)
     with pytest.raises(ExactnessError, match="not reduced"):
         _prefix_sums(spec)(2)
 

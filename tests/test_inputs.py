@@ -218,7 +218,8 @@ def test_long_coefficient_reaches_the_measure_bound(write_spec, capsys):
                  "--coeffs", f"{LONG},1,1"])
     assert code == 2
     assert _error(capsys) == {
-        "error": "invalid-parameter", "message": "sandwich hypothesis violated at n=1",
+        "error": "hypothesis-failed", "index": 1,
+        "message": "sandwich hypothesis violated at n=1",
     }
 
 

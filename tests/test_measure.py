@@ -5,6 +5,7 @@ import pytest
 
 from seriescert import (
     EnumerationTooLargeError,
+    HypothesisFailedError,
     InconclusiveError,
     InvalidParameterError,
     NotFoundBelowNMaxError,
@@ -196,9 +197,10 @@ def test_verify_measure_quadratic():
 
 
 def test_verify_measure_flags_bad_sandwich():
-    with pytest.raises(InvalidParameterError) as info:
+    with pytest.raises(HypothesisFailedError) as info:
         verify_measure(P4, Fraction(4), Fraction(2), PolynomialInt((-1, 1, 1)), 8)
     assert str(info.value) == "sandwich hypothesis violated at n=1"
+    assert info.value.index == 1
 
 
 def test_verify_measure_rejects_undersized_declarations():

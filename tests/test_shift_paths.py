@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seriescert import PowerRecurrence, term
-from seriescert.sequences import _times, checked_pow
+from seriescert.sequences import _odd_part, _times, checked_pow
 from seriescert.serialize import _floor_log10_2, _ten_pow_bounds, decimal_digits, int_to_str
 
 # x = odd * 2**twos, signed, zero included
@@ -31,7 +31,10 @@ def test_checked_pow_matches_the_power(base, exp):
 @settings(max_examples=300, deadline=None)
 @given(factored, factored.filter(lambda y: y > 0))
 def test_times_matches_the_product(x, y):
-    assert _times(x, y) == x * y
+    # any known factor of two of y, up to all of it
+    twos = _odd_part(y)[1]
+    for known in {0, twos // 2, twos}:
+        assert _times(x, y, known) == x * y
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,8 @@ by 2/a_{m+1} whenever the sequence family guarantees at least doubling
 from one term to the next (then the tail is dominated by a geometric
 series with ratio 1/2). That guarantee is a structural property of the
 spec, checked by family-specific induction, never sampled numerically.
+Such a family has q_m = a_m dividing a_{m+1}, so the enclosure after m
+terms is S_{m+1} -/+ 1/a_{m+1}: two integers over a_{m+1}, no Fraction.
 """
 
 from __future__ import annotations
@@ -23,28 +25,30 @@ from .sequences import (
     SequenceSpec,
     Subseries,
     _decimal,
+    one_pass,
     term_stream,
 )
-from .serialize import spec_fingerprint
+from .serialize import lowest_terms, spec_fingerprint
 
 
 @dataclass(frozen=True)
 class Enclosure:
-    """Interval [lo, hi] proven to contain the series value.
+    """Interval [lo, hi] = [L/D, U/D] proven to contain the series value.
 
     lo is the partial sum of the first terms_used terms, hi adds the
     certified tail bound. fingerprint ties the interval to the spec it
     was computed from so it cannot be refined against a different one.
     """
 
-    lo: Fraction
-    hi: Fraction
+    L: int
+    U: int
+    D: int
     terms_used: int
     fingerprint: str
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
+    lo = property(lambda enc: Fraction(*lowest_terms(enc.L, enc.D)))
+    hi = property(lambda enc: Fraction(*lowest_terms(enc.U, enc.D)))
+    width = property(lambda enc: Fraction(*lowest_terms(enc.U - enc.L, enc.D)))
 
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi
@@ -81,23 +85,27 @@ def tail_bound(
     return Fraction(2, term_stream(spec, digit_budget)(m + 1))
 
 
+@one_pass()
 def enclose(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
-    """Enclosure from the first m terms plus the certified tail."""
+    """Enclosure S_{m+1} -/+ 1/a_{m+1} of the first m terms, after tail_bound's checks."""
     fingerprint = spec_fingerprint(spec)
-    tail = tail_bound(spec, m, digit_budget)
-    lo = partial_sum(spec, m, digit_budget).value
-    return Enclosure(lo=lo, hi=lo + tail, terms_used=m, fingerprint=fingerprint)
+    tail_bound(spec, m, digit_budget)
+    s = partial_sum(spec, m + 1, digit_budget)
+    if s.q != term_stream(spec, digit_budget)(m + 1):
+        raise ExactnessError(f"partial sum S_{_decimal(m + 1)} is not over a_{_decimal(m + 1)}")
+    return Enclosure(L=s.p - 1, U=s.p + 1, D=s.q, terms_used=m, fingerprint=fingerprint)
 
 
 def refine(
     spec: SequenceSpec, enc: Enclosure, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
-    """One more term: a strictly narrower enclosure nested in enc."""
+    """One more term: a strictly narrower enclosure nested in enc, checked on L, U, D."""
     if enc.fingerprint != spec_fingerprint(spec):
         raise SpecMismatchError("enclosure was built from a different sequence")
     better = enclose(spec, enc.terms_used + 1, digit_budget)
-    if not (enc.lo <= better.lo and better.hi <= enc.hi and better.width < enc.width):
+    if not (enc.L * better.D <= better.L * enc.D and better.U * enc.D <= enc.U * better.D
+            and (better.U - better.L) * enc.D < (enc.U - enc.L) * better.D):
         raise ExactnessError("refined enclosure failed to nest")
     return better

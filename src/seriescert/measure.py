@@ -14,8 +14,8 @@ bound for |P(theta)| against base^(-E). A failed comparison only ever
 means the interval is still too wide, so the procedure refines and, if
 the refinement allowance runs out, reports Inconclusive rather than
 asserting a counterexample. The evaluation runs on integers: both ends
-of the interval are written over one denominator D, step j of Horner's
-scheme holds numerators over D^j, and only a result becomes a Fraction.
+of the enclosure are over D = a_{m+1}, step j of Horner's scheme holds
+numerators over D^j, and only a result becomes a Fraction.
 
 brute_force_min is the independent check: it enumerates every candidate
 polynomial and brackets |P(theta)| for each, so tests can confirm that
@@ -49,7 +49,6 @@ from .sequences import (
     _budget_check,
     _compare_products,
     _decimal,
-    _odd_part,
     _Verdicts,
     _window_report,
     one_pass,
@@ -95,19 +94,12 @@ class PolynomialInt:
 
     def evaluate_interval(self, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
         """Exact interval Horner: bounds for {P(t) : lo <= t <= hi}."""
-        L, U, D = _common(lo, hi)
+        D = math.lcm(lo.denominator, hi.denominator)
+        L, U = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
         if L > U:
             raise InvalidParameterError("interval endpoints out of order")
         scale = D**self.degree
         return tuple(Fraction(*lowest_terms(v, scale)) for v in _horner(self.coeffs, L, U, D))
-
-
-def _common(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
-    """(L, U, D) with lo = L/D and hi = U/D, D the lcm of the denominators.
-    The factors of two are shifts; only the odd parts meet math.lcm."""
-    (o1, t1), (o2, t2) = _odd_part(lo.denominator), _odd_part(hi.denominator)
-    odd, t = math.lcm(o1, o2), max(t1, t2)
-    return lo.numerator * (odd // o1) << t - t1, hi.numerator * (odd // o2) << t - t2, odd << t
 
 
 def _horner(coeffs: tuple[int, ...], L: int, U: int, D: int) -> tuple[int, int]:
@@ -288,8 +280,7 @@ def find_n1(
 
 def _abs_scaled(P: PolynomialInt, enc: Enclosure) -> tuple[tuple[int, int], int]:
     """The |P(theta)| bracket for theta in enc, as numerators over a scale."""
-    L, U, D = _common(enc.lo, enc.hi)
-    return _abs_pair(*_horner(P.coeffs, L, U, D)), D**P.degree
+    return _abs_pair(*_horner(P.coeffs, enc.L, enc.U, enc.D)), enc.D**P.degree
 
 
 def abs_bracket(P: PolynomialInt, enc: Enclosure) -> tuple[Fraction, Fraction]:
@@ -408,7 +399,7 @@ def _scaled_brackets(
     spec: SequenceSpec, d: int, H: int, enc: Enclosure, enumeration_cap: int
 ) -> tuple[Iterator[tuple[tuple[int, ...], int, int]], int]:
     """(rows, D^d): the rows of enumerate_brackets with each bracket as
-    integer numerators over the one scale D^d, D the common denominator
+    integer numerators over the one scale D^d, D = a_{m+1} the denominator
     of the enclosure. Every vector is evaluated untrimmed, at degree d."""
     _check_class(d, H, 1)
     if spec_fingerprint(spec) != enc.fingerprint:
@@ -423,10 +414,9 @@ def _scaled_brackets(
         raise EnumerationTooLargeError(
             f"enumeration of {count} polynomials exceeds the cap {_decimal(enumeration_cap)}"
         )
-    L, U, D = _common(enc.lo, enc.hi)
     vectors = itertools.product(range(-H, H + 1), repeat=exp)
-    rows = ((vec, *_abs_pair(*_horner(vec, L, U, D))) for vec in vectors if any(vec))
-    return rows, D**d
+    rows = ((vec, *_abs_pair(*_horner(vec, enc.L, enc.U, enc.D))) for vec in vectors if any(vec))
+    return rows, enc.D**d
 
 
 def _minimum(rows: Iterable[tuple[tuple[int, ...], int, int]], scale: int) -> BruteForceResult:

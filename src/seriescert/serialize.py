@@ -229,7 +229,8 @@ def lowest_terms(n: int, d: int) -> tuple[int, int]:
     """n/d in lowest terms, for d > 0. math.gcd is quadratic in the size of
     its operands, so the factors of two cancel by shifts and only the odd
     parts meet it: when d is a power of two, as the enclosures of a1 = 2^k
-    sequences make it, no gcd of big integers is taken."""
+    sequences make it, no gcd of big integers is taken. Prefer it to
+    Fraction(n, d), whose division by a big power-of-two gcd is quadratic."""
     if n == 0:
         return 0, 1
     (n_odd, n_twos), (d_odd, d_twos) = _odd_part(n), _odd_part(d)

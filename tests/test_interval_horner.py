@@ -7,6 +7,7 @@ oracle's exactly, not merely contain it.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from seriescert import (
     enumerate_brackets,
     subseries,
 )
-from seriescert.measure import _common, _horner
+from seriescert.measure import _horner
 from seriescert.serialize import ratio_to_str
 
 P4 = PowerRecurrence(2, 4)
@@ -70,6 +71,13 @@ def ordered(pair):
     return tuple(sorted(pair))
 
 
+def over_one_denominator(lo, hi):
+    """(L, U, D) with lo = L/D and hi = U/D, D any common denominator:
+    the lcm times a factor, so the integer routines see unreduced ends."""
+    D = math.lcm(lo.denominator, hi.denominator) * 6
+    return lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator), D
+
+
 intervals = st.one_of(st.tuples(rationals, rationals).map(ordered),
                       rationals.map(lambda x: (x, x)))
 
@@ -86,8 +94,7 @@ def test_evaluate_interval_equals_the_fraction_oracle(coeffs, interval):
 @given(vectors, intervals)
 def test_untrimmed_vectors_share_the_scale_of_their_length(coeffs, interval):
     lo, hi = interval
-    L, U, D = _common(lo, hi)
-    assert (Fraction(L, D), Fraction(U, D)) == (lo, hi)
+    L, U, D = over_one_denominator(lo, hi)
     scale = D ** (len(coeffs) - 1)
     low, high = _horner(tuple(coeffs), L, U, D)
     expected = oracle_interval(trimmed(coeffs) or (0,), lo, hi)
@@ -99,7 +106,8 @@ def test_untrimmed_vectors_share_the_scale_of_their_length(coeffs, interval):
 def test_abs_bracket_equals_the_fraction_oracle(coeffs, interval):
     lo, hi = interval
     P = PolynomialInt(tuple(coeffs))
-    enc = Enclosure(lo=lo, hi=hi, terms_used=1, fingerprint="")
+    enc = Enclosure(*over_one_denominator(lo, hi), terms_used=1, fingerprint="")
+    assert (enc.lo, enc.hi) == (lo, hi)
     expected = oracle_abs(P.coeffs, lo, hi)
     assert abs_bracket(P, enc) == expected
     assert abs_lower_bound(P, enc) == expected[0]

@@ -142,7 +142,8 @@ def test_certify_builds_no_sum_past_its_window(sum_steps):
 def test_refinements_extend_the_sums_by_one(sum_steps):
     with pytest.raises(InconclusiveError):
         verify_measure(P512, 3, Fraction(3, 2), PolynomialInt((0, 1)), 2)
-    assert sum_steps == [1, 2, 3]
+    # the enclosure at m0 = 1 reads S_2, and each refinement one sum more
+    assert sum_steps == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("k, sums", [(None, 4), ("2", 5)])

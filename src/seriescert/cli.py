@@ -9,9 +9,9 @@ One parser, built at import, decides which flags each command needs
 (certify, whose --revalidate lifts them, checks its own) and raises
 InvalidParameterError on a usage error; main() maps every failure to the
 JSON error object. The commands call the library's checks, not copies of
-them. analyze walks the window once: one term stream (each a_n built
-once) and one run of the partial-sum step feed the library's per-index
-predicates. search reads the enumeration once, for its CSV rows and its
+them. analyze walks the window once: one term stream (each a_n read
+once, as a form) and one run of the partial-sum step feed the library's
+per-index predicates. search reads the enumeration once, for its CSV rows and its
 minimum alike.
 
 Exit status contract: 0 all requested checks verified, 1 some check
@@ -117,14 +117,14 @@ def _run_analyze(config: argparse.Namespace) -> int:
     rows = []
     all_pass = True
     for n in range(first, last + 1):
-        (conv, product), a_n, a_next = s(n), a(n), a(n + 1)
+        sum_n, a_n, a_next = s(n), a(n), a(n + 1)
         lower = v.lower_order(a_n, a_next)
-        checks = {"growth": lower is Ordering.GREATER, "q_exp_bound": v.q_exponent_ok(conv.q, a_n)}
-        shrink = TailShrink(n, product, a_next, alpha).log10_approx
+        checks = {"growth": lower is Ordering.GREATER, "q_exp_bound": v.q_exponent_ok(sum_n.q, a_n)}
+        shrink = TailShrink(n, sum_n.product, a_next, alpha).log10_approx
         if k is not None:
             checks["sandwich_lower"] = lower is not Ordering.LESS
             checks["sandwich_upper"] = v.upper_holds(a_n, a_next)
-            checks["q_growth"] = v.q_growth_ok(conv.q, s(n + 1)[0].q)
+            checks["q_growth"] = v.q_growth_ok(sum_n.q, s(n + 1).q)
         row = dict.fromkeys(ANALYZE_COLUMNS, "")
         # denom_bound passes: the sum step raises ExactnessError otherwise
         row.update(n=n, digits=decimal_digits(a_n), log10_shrink=f"{shrink:.6g}",

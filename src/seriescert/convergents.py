@@ -3,32 +3,37 @@
 The m-th convergent here is the plain partial sum p/q = sum of 1/a_n for
 n up to m, reduced to lowest terms. Partial sums come from one step,
 :func:`_add_term`, applied along the term stream (``term_stream``, which
-builds each a_n once): p_m/q_m and the product a_1 a_2 ... a_m, plus
-a_{m+1}, give p_{m+1}/q_{m+1} and a_1 ... a_{m+1}. Every step checks that
-the sum is reduced and that q <= a_1 a_2 ... a_m; a violation would mean
-the arithmetic itself is broken, so it raises ExactnessError rather than
-returning a flag. A partial sum reads no term past its own index, and
-inside one pass (``one_pass``) each partial sum is built once and
-extended from there.
+makes the form of each a_n once): p_m/q_m and the product a_1 a_2 ... a_m,
+plus a_{m+1}, give p_{m+1}/q_{m+1} and a_1 ... a_{m+1}. The step carries
+q and the product as forms (``sequences.Form``: b**E with its bit length)
+and builds only p. Every step checks that the sum is reduced and that
+q <= a_1 a_2 ... a_m; a violation would mean the arithmetic itself is
+broken, so it raises ExactnessError rather than returning a flag. A
+partial sum reads no term past its own index, and inside one pass
+(``one_pass``) each partial sum is built once and extended from there.
+The public results (Convergent, TailShrink) hold plain integers, built
+from the forms when they are made or read.
 
-For the built-in families the step is a chain step. When a_{m-1} = b**E0
-and a_m = b**E1 with E1 > E0, a_{m-1} divides a_m; if moreover
-q_{m-1} = a_{m-1}, then p_m/q_m = (p_{m-1} b**(E1-E0) + 1)/a_m, with no
-gcd and no division. That fraction is reduced exactly when its
-numerator, which is 1 mod b, is prime to b, and the step still checks
-this without a division by b: with b = o * 2**t, o odd, p must be odd
-if t > 0 (a bit test) and gcd(p mod o, o) = 1 if o > 1. q_1 = a_1, so
-along such a sequence every q_m is a_m and every step chains. Any other
-step (explicit terms, a1 = 1, or a q that is not the previous term) is
-Henrici's addition, the generic step, with its factors of two cancelled
-by shifts before any gcd. The chain step shifts p by t*(E1-E0) after the
-power of o, and the product by the t*E1 twos of a_m, read from the
-exponent form: with a_1 = 2**k it is two shifts and an addition.
+For the built-in families the step is a chain step. When q_{m-1} = b**E0
+and a_m = b**E1 with E1 > E0, q_{m-1} divides a_m and
+p_m/q_m = (p_{m-1} b**(E1-E0) + 1)/a_m, with no gcd and no division.
+That fraction is reduced exactly when its numerator, which is 1 mod b,
+is prime to b, and the step still checks this without a division by b:
+with b = o * 2**t, o odd, p must be odd if t > 0 (a bit test) and
+gcd(p mod o, o) = 1 if o > 1. q_1 = a_1, so along such a sequence every
+q_m is a_m, every step chains, and the product is b**(E_1 + ... + E_m):
+q <= product is E_m <= E_1 + ... + E_m. Any other step (explicit terms,
+a1 = 1) is Henrici's addition on the values, the generic step, with its
+factors of two cancelled by shifts before any gcd. The chain step shifts
+p by t*(E1-E0) after the power of o: with a_1 = 2**k it is a shift and
+an addition.
 
 The shrink factor b_n = (a_1 a_2 ... a_n)^alpha / a_{n+1} is held as the
-exact pair (product, next term) plus the exponent. It is never realized
-as a real number: every decision about it goes through an integer
-cross-power comparison. A float log10 rides along for reporting.
+exact pair (product, next term) of forms plus the exponent. It is never
+realized as a real number: every decision about it goes through an
+integer cross-power comparison. A float log10 rides along for reporting,
+equal to math.log10 of the built integers bit for bit, and read from the
+bit length for a power of two past float range.
 """
 
 from __future__ import annotations
@@ -36,11 +41,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .errors import ExactnessError, InvalidParameterError, NotFoundInWindowError
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
+    Form,
     Ordering,
     SequenceSpec,
     _as_positive_fraction,
@@ -52,7 +58,6 @@ from .sequences import (
     _times,
     _times_pow,
     _window,
-    exponent_form,
     one_pass,
     term_stream,
 )
@@ -75,81 +80,125 @@ class Convergent:
 class TailShrink:
     """Exact representation of (a_1...a_n)^alpha / a_{n+1}.
 
-    product and next_term are exact naturals; log10_approx is a float
-    estimate of log10 of the quantity, for display only.
+    The product and the next term are held as forms; product and
+    next_term are the exact naturals, built when read. log10_approx is a
+    float estimate of log10 of the quantity, for display only.
     """
 
     n: int
-    product: int
-    next_term: int
+    product_form: Form
+    next_form: Form
     alpha: Fraction
+
+    product = property(lambda ts: ts.product_form.value)
+    next_term = property(lambda ts: ts.next_form.value)
 
     @property
     def log10_approx(self) -> float:
         try:
-            scaled = float(self.alpha) * math.log10(self.product)
+            scaled = float(self.alpha) * _log10(self.product_form)
         except OverflowError:  # alpha beyond float range; a product of 1 adds 0
-            scaled = 0.0 if self.product == 1 else math.inf
-        return scaled - math.log10(self.next_term)
+            scaled = 0.0 if self.product_form.bits == 1 else math.inf
+        return scaled - _log10(self.next_form)
 
 
-def _add_term(
-    conv: Convergent,
-    product: int,
-    a: int,
-    link: Optional[tuple[int, tuple[int, int], tuple[int, int]]] = None,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> tuple[Convergent, int]:
+# CPython takes math.log10 of an int past float range (2**N, N >= 1024) as
+# log10(f) + log10(2.0) * e with f in [0.5, 1) and e from frexp; for 2**N
+# that is f = 0.5 and e = N + 1
+_LOG10_HALF, _LOG10_2 = math.log10(0.5), math.log10(2.0)
+
+
+def _log10(x: Form) -> float:
+    """``math.log10(x.value)``, bit for bit, with no power of two built
+    past 1,024 bits."""
+    if not x.power_of_two:
+        return math.log10(x.value)
+    n = x.bits - 1
+    return _LOG10_HALF + _LOG10_2 * (n + 1) if n >= 1024 else math.log10(1 << n)
+
+
+class _Sum(NamedTuple):
+    """p/q, reduced, over the first m terms, with q and the product of
+    those terms as forms."""
+
+    m: int
+    p: int
+    q: Form
+    product: Form
+
+    @property
+    def convergent(self) -> Convergent:
+        return Convergent(self.m, self.p, self.q.value)
+
+
+_EMPTY = _Sum(0, 0, Form(1), Form(1))
+
+
+def _exceeds(x: Form, y: Form) -> bool:
+    """x > y: by exponents for powers of one base, else by bit lengths, and
+    by values only when those tie."""
+    if x.base == y.base:
+        return x.base >= 2 and x.exp > y.exp
+    return x.bits > y.bits or x.bits == y.bits and x.value > y.value
+
+
+def _add_term(s: _Sum, a: Form, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> _Sum:
     """The sum step: p/q + 1/a in lowest terms, and the product times a.
 
-    link is (a_{m-1}, its exponent form (b, E0), the form (b, E1) of a),
-    when known. If q = a_{m-1} = b**E0 and a = b**E1 with E1 > E0, then
-    a_{m-1} divides a and the step is the chain step p*b**(E1-E0) + 1
-    over a; otherwise it is Henrici's addition (as in Fraction): p/q is
-    reduced, so only g = gcd(q, a) can cancel, its factor of two by shifts.
+    The first step gives 1/a over the product a. If q = b**E0 and
+    a = b**E1 with E1 > E0, q divides a and the step is the chain step
+    p*b**(E1-E0) + 1 over a; q and the product stay powers of b, and only
+    the numerator is built. Otherwise it is Henrici's addition (as in
+    Fraction) on the values: p/q is reduced, so only g = gcd(q, a) can
+    cancel, its factor of two by shifts.
     """
-    m = conv.m + 1
-    a_prev, (b0, e0), (b, e1) = link or (0, (0, 0), (0, 0))
-    if b == b0 >= 2 and e1 > e0 and conv.q == a_prev:
-        _budget_check(b, e1 - e0, digit_budget)
-        (o, t), q = _odd_part(b), a
-        p, twos = _times_pow(conv.p, b, e1 - e0) + 1, t * e1
+    m, q = s.m + 1, s.q
+    if s.p == 0:  # 0/1 + 1/a
+        return _Sum(m, 1, a, a)
+    if q.base == a.base >= 2 and a.exp > q.exp:
+        b, de = a.base, a.exp - q.exp
+        _budget_check(b, de, digit_budget)
+        o, t = _odd_part(b)
+        p, q, twos = _times_pow(s.p, b, de) + 1, a, t * a.exp
         # q = b**E1: p must be odd if t > 0, prime to o if o > 1
         reduced = (t == 0 or p & 1 == 1) and (o == 1 or math.gcd(p % o, o) == 1)
     else:
         # q = qo*2**qt, a = ao*2**twos, g = go*2**gt, p*(a/g) + q/g = to*2**tt,
         # and gcd(that, g) = g2*2**shift: the gcds see odd parts only
-        (qo, qt), (ao, twos) = _odd_part(conv.q), _odd_part(a)
+        (qo, qt), (ao, twos) = _odd_part(q.value), _odd_part(a.value)
         go, gt = math.gcd(qo, ao), min(qt, twos)
-        to, tt = _odd_part(conv.p * (ao // go << twos - gt) + (qo // go << qt - gt))
+        to, tt = _odd_part(s.p * (ao // go << twos - gt) + (qo // go << qt - gt))
         g2, shift = math.gcd(go, to), min(tt, gt)
         p_odd, q_odd = to // g2, qo // go * (ao // g2)
         p, q = p_odd << tt - shift, q_odd << qt - gt + twos - shift
         reduced = (p & 1 or q & 1) and math.gcd(q_odd, p_odd) == 1
-    product = _times(product, a, twos)
+        q = Form(q)
+    if s.product.base == a.base:  # one power of the base
+        product = Form(a.base, s.product.exp + a.exp)
+    else:
+        product = Form(_times(s.product.value, a.value, twos))
     if not reduced:
-        raise ExactnessError(f"partial sum at m={m} is not reduced: {_decimal(p)}/{_decimal(q)}")
-    if q > product:
         raise ExactnessError(
-            f"denominator bound violated at m={m}: q={_decimal(q)} exceeds term product"
+            f"partial sum at m={m} is not reduced: {_decimal(p)}/{_decimal(q.value)}"
         )
-    return Convergent(m=m, p=p, q=q), product
+    if _exceeds(q, product):
+        raise ExactnessError(
+            f"denominator bound violated at m={m}: q={_decimal(q.value)} exceeds term product"
+        )
+    return _Sum(m, p, q, product)
 
 
 def _prefix_sums(
     spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> Callable[[int], tuple[Convergent, int]]:
-    """m -> (p_m/q_m, a_1...a_m), each built once, by one sum step from
-    the one before."""
+) -> Callable[[int], _Sum]:
+    """m -> the sum over the first m terms, each built once, by one sum
+    step from the one before."""
     a = term_stream(spec, digit_budget)
-    built = _pass_memo(("sums", spec, digit_budget), lambda: [(Convergent(m=0, p=0, q=1), 1)])
+    built = _pass_memo(("sums", spec, digit_budget), lambda: [_EMPTY])
 
-    def s(m: int) -> tuple[Convergent, int]:
+    def s(m: int) -> _Sum:
         while len(built) <= m:
-            n = len(built)
-            forms = (exponent_form(spec, i, digit_budget) for i in (n - 1, n))
-            link = (a(n - 1), *forms) if n > 1 else None
-            built.append(_add_term(*built[-1], a(n), link, digit_budget))
+            built.append(_add_term(built[-1], a(len(built)), digit_budget))
         return built[m]
 
     return s
@@ -163,7 +212,7 @@ def convergent_range(
         raise InvalidParameterError(f"range end must be >= 1, got {_decimal(last)}")
     s = _prefix_sums(spec, digit_budget)
     for m in range(1, last + 1):
-        yield s(m)[0]
+        yield s(m).convergent
 
 
 def partial_sum(
@@ -172,7 +221,7 @@ def partial_sum(
     """Exact reduced partial sum over terms 1..m (m = 0 gives 0/1)."""
     if m < 0:
         raise InvalidParameterError(f"partial sum index must be >= 0, got {_decimal(m)}")
-    return _prefix_sums(spec, digit_budget)(m)[0]
+    return _prefix_sums(spec, digit_budget)(m).convergent
 
 
 def denominator_bound_holds(
@@ -181,8 +230,8 @@ def denominator_bound_holds(
     """Exact check q_m <= a_1 a_2 ... a_m."""
     if m < 1:
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(m)}")
-    conv, product = _prefix_sums(spec, digit_budget)(m)
-    return conv.q <= product
+    s = _prefix_sums(spec, digit_budget)(m)
+    return not _exceeds(s.q, s.product)
 
 
 def shrink_factor(
@@ -196,7 +245,7 @@ def shrink_factor(
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     alpha = _as_positive_fraction(alpha, "alpha")
-    product = _prefix_sums(spec, digit_budget)(n)[1]
+    product = _prefix_sums(spec, digit_budget)(n).product
     return TailShrink(n, product, term_stream(spec, digit_budget)(n + 1), alpha)
 
 
@@ -214,7 +263,7 @@ def shrink_less_than(
     r = _as_positive_fraction(r, "threshold")
     p, s = ts.alpha.numerator, ts.alpha.denominator
     u, v = r.numerator, r.denominator
-    lhs, rhs = ((ts.product, p), (v, s)), ((u, s), (ts.next_term, s))
+    lhs, rhs = ((ts.product_form, p), (v, s)), ((u, s), (ts.next_form, s))
     return _compare_products(lhs, rhs, digit_budget) is Ordering.LESS
 
 
@@ -231,8 +280,8 @@ def shrink_decreases(
     if prev.alpha != cur.alpha:
         raise InvalidParameterError("shrink factors must share the same exponent")
     p, s = cur.alpha.numerator, cur.alpha.denominator
-    lhs = ((cur.product, p), (prev.next_term, s))
-    rhs = ((prev.product, p), (cur.next_term, s))
+    lhs = ((cur.product_form, p), (prev.next_form, s))
+    rhs = ((prev.product_form, p), (cur.next_form, s))
     return _compare_products(lhs, rhs, digit_budget) is Ordering.LESS
 
 

@@ -21,6 +21,7 @@ from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Affine,
     FactorialExponent,
+    Form,
     PowerRecurrence,
     SequenceSpec,
     Subseries,
@@ -72,28 +73,35 @@ def has_tail_guarantee(spec: SequenceSpec) -> bool:
     return False
 
 
-def tail_bound(
-    spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> Fraction:
-    """Certified upper bound 2/a_{m+1} for the tail past index m."""
+def _tail_term(spec: SequenceSpec, m: int, digit_budget: int) -> Form:
+    """a_{m+1}, the term the tail bound past index m is over, after the
+    checks of the bound: the index, then the family's guarantee."""
     if m < 0:
         raise InvalidParameterError(f"index must be >= 0, got {_decimal(m)}")
     if not has_tail_guarantee(spec):
         raise NoTailGuaranteeError(
             "sequence family offers no doubling guarantee beyond its known terms"
         )
-    return Fraction(2, term_stream(spec, digit_budget)(m + 1))
+    return term_stream(spec, digit_budget)(m + 1)
+
+
+def tail_bound(
+    spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> Fraction:
+    """Certified upper bound 2/a_{m+1} for the tail past index m."""
+    return Fraction(2, _tail_term(spec, m, digit_budget).value)
 
 
 @one_pass()
 def enclose(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
-    """Enclosure S_{m+1} -/+ 1/a_{m+1} of the first m terms, after tail_bound's checks."""
+    """Enclosure S_{m+1} -/+ 1/a_{m+1} of the first m terms, after the
+    checks of tail_bound, which a_{m+1} is read under before the sum."""
     fingerprint = spec_fingerprint(spec)
-    tail_bound(spec, m, digit_budget)
+    a = _tail_term(spec, m, digit_budget)
     s = partial_sum(spec, m + 1, digit_budget)
-    if s.q != term_stream(spec, digit_budget)(m + 1):
+    if s.q != a.value:
         raise ExactnessError(f"partial sum S_{_decimal(m + 1)} is not over a_{_decimal(m + 1)}")
     return Enclosure(L=s.p - 1, U=s.p + 1, D=s.q, terms_used=m, fingerprint=fingerprint)
 

@@ -241,7 +241,7 @@ def q_growth_holds(
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     s = _prefix_sums(spec, digit_budget)
-    return v.q_growth_ok(s(n)[0].q, s(n + 1)[0].q)
+    return v.q_growth_ok(s(n).q, s(n + 1).q)
 
 
 def find_n1(

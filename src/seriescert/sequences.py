@@ -18,23 +18,28 @@ certification layer.
 All comparisons with fractional exponents are decided exactly: x vs
 y**(p/s) is resolved by comparing the integers x**s and y**p.  When the
 bit lengths of x and y already place x**s and y**p in disjoint ranges
-of powers of two, that settles it and neither power is built.  Nothing
-in this module ever rounds; the verdict exponents (alpha+1, k*alpha)
-are fixed once per call (:class:`_Verdicts`), not on every row.  Powers
-and products apply their factor of two as a shift, so for a_1 = 2**k no
-term costs a squaring; b = o * 2**t gives a_n = b**E_n its t*E_n twos,
-so the sum step and the running product never scan a term for them.
+of powers of two, that settles it and neither power is built; powers of
+one base compare their exponents.  Nothing in this module ever rounds;
+the verdict exponents (alpha+1, k*alpha) are fixed once per call
+(:class:`_Verdicts`), not on every row.  Powers and products apply their
+factor of two as a shift, so for a_1 = 2**k no term costs a squaring;
+b = o * 2**t gives a_n = b**E_n its t*E_n twos, so the sum step and the
+running product never scan a term for them.
 
 Every family but ``Explicit`` has a_n = b**E_n with E_n increasing in n
 (n! + c, e**(n-1), or either through a strictly increasing index map).
 :func:`exponent_form` gives that pair (b, E_n) without building the
-power, and :func:`term` is that form plus one :func:`checked_pow`; an
-explicit term t has the form (t, 1).
+power; an explicit term t has the form (t, 1).  :func:`term_form` adds
+the digit-budget check of :func:`term` and returns a :class:`Form`: the
+pair with the exact bit length of b**E_n, read from the pair for a
+power-of-two base (t*E_n + 1) or E_n = 1, and otherwise from the term,
+built once.  :func:`term` is that form plus the power.
 
 Checks read terms through :func:`term_stream`, a function that returns
-the memoized map n -> a_n: each a_n is built once, on first use.  Inside
-:func:`one_pass` all streams of one spec share their terms, so a public
-helper called by another reads the terms its caller has already built.
+the memoized map n -> form of a_n: each form is made once, on first use,
+and its value is built only if something reads it.  Inside
+:func:`one_pass` all streams of one spec share their forms, so a public
+helper called by another reads the terms its caller has already made.
 """
 
 from __future__ import annotations
@@ -101,16 +106,21 @@ def _decimal(value) -> str:
 
 def _budget_check(base: int, exp: int, digit_budget: int) -> None:
     """The size check of :func:`checked_pow`, without building the power."""
+    _bits_check(base.bit_length(), exp, digit_budget)
+
+
+def _bits_check(bits: int, exp: int, digit_budget: int) -> None:
+    """The size check of :func:`checked_pow`, on a base of that bit length."""
     if exp < 0:
         raise InvalidParameterError("negative exponents are not integers")
-    if base == 0 or base == 1 or exp == 0:
+    if bits <= 1 or exp == 0:  # a base of 0 or 1
         return
     # Integer upper bound on the decimal digits of base**exp; 30103/100000
     # over-approximates log10(2), and integer arithmetic cannot overflow.
-    est_digits = exp * base.bit_length() * 30103 // 100000 + 1
+    est_digits = exp * bits * 30103 // 100000 + 1
     if est_digits > digit_budget:
         raise DigitBudgetError(
-            f"{base.bit_length()}-bit base raised to {_decimal(exp)} needs about "
+            f"{bits}-bit base raised to {_decimal(exp)} needs about "
             f"{_decimal(est_digits)} decimal digits; budget is {digit_budget}"
         )
 
@@ -135,9 +145,9 @@ def _odd_part(n: int) -> tuple[int, int]:
 def _times_pow(x: int, base: int, exp: int) -> int:
     """``x * base**exp``, with no size check (callers make it first): the
     odd part of base is raised and its factor of two applied as a shift,
-    so 2**E costs no squaring."""
+    so 2**E costs no squaring and x times it no multiplication."""
     odd, twos = _odd_part(base) if base else (0, 0)
-    return x * odd**exp << twos * exp
+    return (x * odd**exp if odd != 1 else x) << twos * exp
 
 
 def _times(x: int, y: int, twos: int) -> int:
@@ -147,34 +157,104 @@ def _times(x: int, y: int, twos: int) -> int:
     return x * (y >> twos) << twos
 
 
-def _compare_products(
-    lhs: tuple[tuple[int, int], ...],
-    rhs: tuple[tuple[int, int], ...],
-    digit_budget: int,
-) -> Ordering:
-    """Exact ordering of the product of x**k over the pairs (x, k) of lhs
-    against the same product over rhs, for x >= 1 and k >= 1.
+class Form:
+    """The positive integer base**exp, held as the pair, with its exact bit
+    length: t*exp + 1 for base = 2**t, that of base for exp = 1, and
+    otherwise that of the value. The value is built on first use and kept
+    (for an odd base and exp > 1, the first read of bits builds it), so a
+    power of two is never built unless it is asked for. A term is built by
+    :func:`checked_pow` under its digit budget, a product with no budget."""
 
-    Every factor first passes the size check of :func:`checked_pow`, in
-    order, so a comparison the budget refuses is refused as before. A
-    base of bit length L lies in [2**(L-1), 2**L), so lhs/rhs lies
-    strictly between 2**low and 2**high, low the sum of k*(L-1) over lhs
-    less that of k*L over rhs and high the other way round; when 1 is
-    outside, the ordering is settled without building any power, and
-    only otherwise are the products built and compared.
+    __slots__ = ("base", "exp", "digit_budget", "_bits", "_value")
+
+    def __init__(self, base: int, exp: int = 1, digit_budget: Optional[int] = None):
+        self.base, self.exp, self.digit_budget = base, exp, digit_budget
+        if exp == 1:
+            self._bits, self._value = base.bit_length(), base
+        else:
+            self._value = None
+            self._bits = (base.bit_length() - 1) * exp + 1 if self.power_of_two else None
+
+    @property
+    def power_of_two(self) -> bool:
+        return self.base & (self.base - 1) == 0
+
+    @property
+    def value(self) -> int:
+        if self._value is None:
+            if self.digit_budget is None:
+                self._value = _times_pow(1, self.base, self.exp)
+            else:
+                self._value = checked_pow(self.base, self.exp, self.digit_budget)
+        return self._value
+
+    @property
+    def bits(self) -> int:
+        if self._bits is None:
+            self._bits = self.value.bit_length()
+        return self._bits
+
+    def top(self, s: int) -> int:
+        """``value >> s``, from the bit length alone for a power of two."""
+        if self.power_of_two:
+            return 1 << self.bits - 1 - s if self.bits > s else 0
+        return self.value >> s
+
+    def __eq__(self, other: object) -> bool:
+        """Equal values; powers of one base b >= 2 by their exponents."""
+        if not isinstance(other, Form):
+            return NotImplemented
+        if self.base == other.base:
+            return self.exp == other.exp or self.base < 2
+        return self.bits == other.bits and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+    def __repr__(self) -> str:
+        return f"Form({self.base!r}, {self.exp!r})"
+
+
+Factors = tuple[tuple[Union[int, Form], int], ...]
+
+
+def _compare_products(lhs: Factors, rhs: Factors, digit_budget: int) -> Ordering:
+    """Exact ordering of the product of x**k over the pairs (x, k) of lhs
+    against the same product over rhs, for x >= 1 (an int or a Form) and
+    k >= 1.
+
+    Every factor first passes the size check of :func:`checked_pow` on its
+    bit length, in order, so a comparison the budget refuses is refused as
+    before. A base of bit length L lies in [2**(L-1), 2**L), so lhs/rhs
+    lies strictly between 2**low and 2**high, low the sum of k*(L-1) over
+    lhs less that of k*L over rhs and high the other way round; when 1 is
+    outside, the ordering is settled without building any power. Otherwise
+    factors that are all powers b**E of one base b >= 2 compare their sums
+    of k*E, and only factors of different bases are built and multiplied.
     """
     low = high = 0
     for x, k in lhs:
-        _budget_check(x, k, digit_budget)
-        low, high = low + k * (x.bit_length() - 1), high + k * x.bit_length()
+        bits = x.bits if type(x) is Form else x.bit_length()
+        _bits_check(bits, k, digit_budget)
+        low, high = low + k * (bits - 1), high + k * bits
     for x, k in rhs:
-        _budget_check(x, k, digit_budget)
-        low, high = low - k * x.bit_length(), high - k * (x.bit_length() - 1)
+        bits = x.bits if type(x) is Form else x.bit_length()
+        _bits_check(bits, k, digit_budget)
+        low, high = low - k * bits, high - k * (bits - 1)
     if low >= 0:
         return Ordering.GREATER
     if high <= 0:
         return Ordering.LESS
-    left, right = (reduce(lambda acc, f: _times_pow(acc, *f), side, 1) for side in (lhs, rhs))
+    lhs, rhs = (tuple((x if type(x) is Form else Form(x), k) for x, k in side)
+                for side in (lhs, rhs))
+    base = lhs[0][0].base
+    if base >= 2 and all(x.base == base for x, _ in lhs + rhs):
+        left, right = (sum(x.exp * k for x, k in side) for side in (lhs, rhs))
+    else:
+        left, right = (
+            reduce(lambda acc, f: _times_pow(acc, f[0].base, f[0].exp * f[1]), side, 1)
+            for side in (lhs, rhs)
+        )
     return Ordering((left > right) - (left < right))
 
 
@@ -341,13 +421,23 @@ def exponent_form(
     raise TypeError(f"not a sequence spec: {spec!r}")
 
 
-def term(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
-    """Exact n-th term of the (offset-shifted) sequence, n >= 1."""
+def term_form(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Form:
+    """The n-th term (n >= 1) as a :class:`Form`, after the index
+    pre-checks and the budget check of :func:`term`, in the same order and
+    with the same messages; nothing is built."""
     b, e = exponent_form(spec, n, digit_budget)
     while isinstance(spec, Subseries):
         spec = spec.inner
     # an explicit term is given, not built, so no budget applies to it
-    return b if isinstance(spec, Explicit) else checked_pow(b, e, digit_budget)
+    if isinstance(spec, Explicit):
+        return Form(b)
+    _budget_check(b, e, digit_budget)
+    return Form(b, e, digit_budget)
+
+
+def term(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
+    """Exact n-th term of the (offset-shifted) sequence, n >= 1."""
+    return term_form(spec, n, digit_budget).value
 
 
 # What the open pass has built, by key; see one_pass.
@@ -380,16 +470,16 @@ def _pass_memo(key: tuple, make: Callable[[], object]):
 
 def term_stream(
     spec: SequenceSpec, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> Callable[[int], int]:
-    """n -> a_n, each term built once (within a pass, once for every
-    stream of the spec)."""
+) -> Callable[[int], Form]:
+    """n -> a_n as a :class:`Form`, each made once (within a pass, once for
+    every stream of the spec), so each value is built at most once."""
     built = _pass_memo(("terms", spec, digit_budget), dict)
 
-    def a(n: int) -> int:
+    def a(n: int) -> Form:
         if n not in built:
             if len(built) == MAX_TERMS:
                 raise EnumerationTooLargeError(f"walk over more than {MAX_TERMS} terms")
-            built[n] = term(spec, n, digit_budget)
+            built[n] = term_form(spec, n, digit_budget)
         return built[n]
 
     return a
@@ -410,15 +500,16 @@ def compare_power(
     return _versus(x, y, _as_positive_fraction(e, "exponent"), digit_budget)
 
 
-def _versus(x: int, y: int, e: Fraction, digit_budget: int) -> Ordering:
+def _versus(x: Union[int, Form], y: Union[int, Form], e: Fraction, digit_budget: int) -> Ordering:
     """The comparison of :func:`compare_power`, for arguments already valid."""
     return _compare_products(((x, e.denominator),), ((y, e.numerator),), digit_budget)
 
 
 @dataclass(frozen=True)
 class _Verdicts:
-    """The per-index verdicts of one call. Their exponents are made once,
-    on first use, and not on every row."""
+    """The per-index verdicts of one call, on the forms of terms and
+    denominators (or plain ints). Their exponents are made once, on first
+    use, and not on every row; powers of one base compare exponents."""
 
     alpha: Fraction
     k: Optional[Fraction]  # None: the growth check alone
@@ -429,21 +520,21 @@ class _Verdicts:
     q_lift = cached_property(lambda v: v.lift / v.alpha)
     q_cap = cached_property(lambda v: v.k * v.lift)
 
-    def lower_order(self, a_n: int, a_next: int) -> Ordering:
+    def lower_order(self, a_n: Form, a_next: Form) -> Ordering:
         """a_{n+1} against a_n**(alpha+1): GREATER is the growth hypothesis
         at n, anything but LESS the lower half of the sandwich."""
         return _versus(a_next, a_n, self.lift, self.digit_budget)
 
-    def upper_holds(self, a_n: int, a_next: int) -> bool:
+    def upper_holds(self, a_n: Form, a_next: Form) -> bool:
         """a_{n+1} < a_n**(k*alpha), the upper half of the sandwich."""
         return _versus(a_next, a_n, self.cap, self.digit_budget) is Ordering.LESS
 
-    def q_exponent_ok(self, q_n: int, a_n: int) -> bool:
+    def q_exponent_ok(self, q_n: Form, a_n: Form) -> bool:
         """q_n <= a_n**((alpha+1)/alpha), that is q_n**p <= a_n**(p+s) for
         alpha = p/s."""
         return _versus(q_n, a_n, self.q_lift, self.digit_budget) is not Ordering.GREATER
 
-    def q_growth_ok(self, q_n: int, q_next: int) -> bool:
+    def q_growth_ok(self, q_n: Form, q_next: Form) -> bool:
         """q_{n+1} < q_n**(k*(alpha+1))."""
         return _versus(q_next, q_n, self.q_cap, self.digit_budget) is Ordering.LESS
 

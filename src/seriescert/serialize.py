@@ -21,7 +21,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from typing import Any
+from typing import Any, Union
 
 from .errors import DigitBudgetError, InvalidParameterError
 from .sequences import (
@@ -30,6 +30,7 @@ from .sequences import (
     Explicit,
     ExplicitIndices,
     FactorialExponent,
+    Form,
     IndexMap,
     PowerRecurrence,
     SequenceSpec,
@@ -183,23 +184,25 @@ def _ten_pow_bounds(h: int) -> tuple[int, int, int]:
     return lo, hi, s
 
 
-def decimal_digits(value: int) -> int:
+def decimal_digits(value: Union[int, Form]) -> int:
     """Exact count of decimal digits of ``abs(value)``, without building
-    its decimal string."""
-    value = abs(value)
-    bits = value.bit_length() or 1
+    its decimal string; a power of two held as a Form is not built."""
+    if not isinstance(value, Form):
+        value = Form(abs(value))
+    bits = value.bits or 1
     # 2**(bits-1) <= value < 2**bits holds at most one power of ten
     low, high = _floor_log10_2(bits - 1), _floor_log10_2(bits)
-    if low is None or high is None:
-        return len(int_to_str(value))
-    if low == high:
+    # 10**high is no power of two but 1, so 2**(bits-1) < 10**high
+    if low is not None and (low == high or value.power_of_two):
         return low + 1
+    if low is None or high is None:
+        return len(int_to_str(value.value))
     # value's top bits settle value >= 10**high unless they fall between
     # the bounds: unless value lies within a relative h * 2**-127 of it
     lo, hi, s = _ten_pow_bounds(high)
-    top = value >> s
+    top = value.top(s)
     if lo <= top < hi:
-        return high + (value >= 10**high)
+        return high + (value.value >= 10**high)
     return high + (top >= hi)
 
 

@@ -11,8 +11,9 @@ import pytest
 
 from seriescert import cli
 from seriescert.cli import main
-from seriescert.convergents import Convergent, _add_term
+from seriescert.convergents import _add_term, _Sum
 from seriescert.errors import ExactnessError
+from seriescert.sequences import Form
 
 P4 = '{"family": "power", "a1": "2", "e": "4"}'
 
@@ -126,7 +127,7 @@ def test_search_decides_the_enumeration_size_without_building_it(
 def test_add_term_spells_large_values_in_its_errors():
     big = 10**5000  # past the interpreter's 4300-digit int/str limit
     with pytest.raises(ExactnessError, match=r"^partial sum at m=2 is not reduced: 10{5001}/"):
-        _add_term(Convergent(1, 2 * big, 4 * big), 1, 3)
+        _add_term(_Sum(1, 2 * big, Form(4 * big), Form(1)), Form(3))
     with pytest.raises(ExactnessError, match=r"^denominator bound violated at m=2: q=6"):
-        _add_term(Convergent(1, 1, 2 * big), 1, 3)
+        _add_term(_Sum(1, 1, Form(2 * big), Form(1)), Form(3))
 

@@ -4,8 +4,8 @@ checked against the generic exact path it replaces.
 Every built-in family but ``Explicit`` has a_n = b**E_n with E_n
 increasing, so a_{n-1} divides a_n and the partial sums take the chain
 step p*b**(E_n - E_{n-1}) + 1 over a_n. Henrici's addition (``_add_term``
-without a link) stays the oracle: along every family both give the same
-reduced fraction and the same term product. Cross-power comparisons are
+on terms given as plain ints) stays the oracle: along every family both
+give the same reduced fraction and the same term product. Cross-power comparisons are
 settled by bit lengths where they can be; the full-power comparison is
 the oracle there, budget refusals included.
 """
@@ -35,9 +35,9 @@ from seriescert import (
     partial_sum,
     term,
 )
-from seriescert.convergents import Convergent, _add_term, _prefix_sums
+from seriescert.convergents import _EMPTY, Convergent, _add_term, _prefix_sums, _Sum
 from seriescert.errors import SeriesCertError
-from seriescert.sequences import _compare_products, _times_pow
+from seriescert.sequences import Form, _compare_products, _times_pow
 
 convergents = importlib.import_module("seriescert.convergents")
 sequences = importlib.import_module("seriescert.sequences")
@@ -66,12 +66,18 @@ subseries = st.builds(
 explicit = st.builds(Explicit, st.lists(st.integers(1, 10**30), min_size=5, max_size=5), offsets)
 
 
+def plain(s):
+    """A sum as (p_m/q_m, a_1...a_m), the forms built."""
+    return s.convergent, s.product.value
+
+
 def henrici_sums(spec, last):
-    """(p_m/q_m, a_1...a_m) for m = 1..last by the generic step alone."""
-    sums, conv, product = [], Convergent(m=0, p=0, q=1), 1
+    """(p_m/q_m, a_1...a_m) for m = 1..last by the generic step alone: each
+    term goes in as a plain int, so no two are powers of one base."""
+    sums, s = [], _EMPTY
     for n in range(1, last + 1):
-        conv, product = _add_term(conv, product, term(spec, n))
-        sums.append((conv, product))
+        s = _add_term(s, Form(term(spec, n)))
+        sums.append(plain(s))
     return sums
 
 
@@ -91,7 +97,7 @@ def chain_matches_henrici(spec, last):
     chain steps taken."""
     with chain_steps() as taken:
         s = _prefix_sums(spec)
-        assert [s(m) for m in range(1, last + 1)] == henrici_sums(spec, last)
+        assert [plain(s(m)) for m in range(1, last + 1)] == henrici_sums(spec, last)
     return len(taken)
 
 
@@ -158,20 +164,23 @@ def test_chain_step_refuses_a_sum_that_is_not_reduced(monkeypatch, spec, corrupt
 @pytest.mark.parametrize(
     "conv, link",
     [
-        # q is not a_{m-1}
-        (Convergent(m=1, p=1, q=3), (9, (3, 2), (3, 4))),
+        # q = 9 = 3**2, but held as a plain int
+        (Convergent(m=1, p=1, q=9), (Form(9), Form(3, 4))),
         # exponents do not increase
-        (Convergent(m=1, p=1, q=9), (9, (3, 2), (3, 2))),
+        (Convergent(m=1, p=1, q=9), (Form(3, 2), Form(3, 2))),
         # bases differ
-        (Convergent(m=1, p=1, q=9), (9, (3, 2), (9, 2))),
+        (Convergent(m=1, p=1, q=9), (Form(3, 2), Form(9, 2))),
         # base 1
-        (Convergent(m=1, p=1, q=1), (1, (1, 1), (1, 2))),
+        (Convergent(m=1, p=1, q=1), (Form(1), Form(1, 2))),
     ],
 )
 def test_add_term_falls_back_to_henrici(conv, link):
-    b, e = link[2]
+    # link: the form q is held as, and the form of the term added
+    q, a = link
+    assert q.value == conv.q
+    s = _Sum(conv.m, conv.p, q, Form(5))
     with chain_steps() as taken:
-        assert _add_term(conv, 5, b**e, link) == _add_term(conv, 5, b**e)
+        assert plain(_add_term(s, a)) == plain(_add_term(s, Form(a.value)))
     assert taken == []
 
 

@@ -36,10 +36,11 @@ from seriescert import (
     term,
 )
 from seriescert.cli import main
-from seriescert.convergents import Convergent, _add_term, _prefix_sums
+from seriescert.convergents import Convergent, _add_term, _prefix_sums, _Sum
 from seriescert.errors import SeriesCertError
-from seriescert.sequences import _Verdicts
+from seriescert.sequences import Form, _Verdicts
 
+convergents = importlib.import_module("seriescert.convergents")
 sequences = importlib.import_module("seriescert.sequences")
 
 #: No integer above this size may meet a scan or a gcd on the paths below.
@@ -96,14 +97,46 @@ def test_analyze_scans_no_term_and_builds_powers_only_as_terms(monkeypatch, tmp_
     assert stray_powers == []
 
 
+# a1 = 2**k: rows 1..last reach a_{last+1} = 2**(k * 4**last), 2**(4**10) for p4
+@pytest.mark.parametrize("k, last", [(1, 10), (4, 8)])
+def test_analyze_of_a_power_of_two_builds_only_sum_numerators(monkeypatch, tmp_path, k, last):
+    calls, built, logged = [], [], []
+
+    def counting(name):
+        return lambda original: lambda *args: calls.append(name) or original(*args)
+
+    def sized(original, sizes):
+        return lambda *args: (lambda x: sizes.append(x.bit_length()) or x)(original(*args))
+
+    patch_everywhere(monkeypatch, "term", counting("term"))
+    patch_everywhere(monkeypatch, "checked_pow", counting("checked_pow"))
+    # every power and every product of values; the chain step builds its
+    # numerator through convergents' own _times_pow, left unwrapped
+    monkeypatch.setattr(sequences, "_times_pow", sized(sequences._times_pow, built))
+    monkeypatch.setattr(convergents, "_times", sized(convergents._times, built))
+    log10 = math.log10
+    monkeypatch.setattr(math, "log10", lambda x: logged.append(x.bit_length()) or log10(x))
+    spec = tmp_path / "power.json"
+    spec.write_text(f'{{"family": "power", "a1": "{2**k}", "e": "4"}}')
+    argv = ["analyze", "--spec", str(spec), "--alpha", "5/2", "--k", "2", "--to", str(last)]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    monkeypatch.undo()
+    assert len(out.getvalue().splitlines()) == last + 1
+    assert calls == []
+    assert max(built, default=0) <= SMALL_BITS
+    assert logged and max(logged) <= 1024
+
+
 def test_henrici_step_takes_no_gcd_of_two_big_integers(monkeypatch):
     spec = Explicit((2, 2**1000, 2**60000, 2**120000))
     taken, gcd = [], math.gcd
     monkeypatch.setattr(math, "gcd", lambda x, y: taken.append(min(x, y)) or gcd(x, y))
-    conv, product = _prefix_sums(spec)(4)
+    s = _prefix_sums(spec)(4)
     monkeypatch.undo()
-    assert conv.value == sum(Fraction(1, t) for t in spec.terms)
-    assert product == 2 ** (1 + 1000 + 60000 + 120000)
+    assert s.convergent.value == sum(Fraction(1, t) for t in spec.terms)
+    assert s.product.value == 2 ** (1 + 1000 + 60000 + 120000)
     assert max(taken).bit_length() <= SMALL_BITS
 
 
@@ -124,7 +157,8 @@ def fraction_sums(spec, last):
 
 def matches_fractions(spec, last):
     s = _prefix_sums(spec)
-    assert [s(m) for m in range(1, last + 1)] == fraction_sums(spec, last)
+    sums = [s(m) for m in range(1, last + 1)]
+    assert [(t.convergent, t.product.value) for t in sums] == fraction_sums(spec, last)
 
 
 # 2**k, 3, 6, 12 and 2**j * 3**i: no factor of two, only one, and both
@@ -175,10 +209,11 @@ def test_explicit_sums_match_fractions(terms, last):
 @given(explicit_terms, explicit_terms, explicit_terms)
 def test_henrici_step_matches_fraction(p, q, a):
     value = Fraction(p, q)
-    conv = Convergent(1, value.numerator, value.denominator)
+    q = Form(value.denominator)
     total = value + Fraction(1, a)
     expected = Convergent(2, total.numerator, total.denominator), value.denominator * a
-    assert _add_term(conv, value.denominator, a) == expected
+    s = _add_term(_Sum(1, value.numerator, q, q), Form(a))
+    assert (s.convergent, s.product.value) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Each public call builds every term and partial sum it needs exactly once.
+"""Each public call reads every term and builds every partial sum it needs
+exactly once.
 
-``term`` is replaced, in every seriescert module that holds it, by a
+``term_form`` is replaced, in every seriescert module that holds it, by a
 wrapper that counts the (spec, n) pairs passed to it; the partial-sum
 step is replaced by one that records the index of each sum it builds.
+A term is built from its form only when its value is read, so ``analyze``
+on a power-of-two base reads its terms and builds none.
 """
 
 import collections
@@ -37,9 +40,10 @@ SHIFTED = FactorialExponent(2, 1, start_offset=3)
 A52 = Fraction(5, 2)
 
 
-@pytest.fixture
-def term_calls(monkeypatch):
-    original = importlib.import_module("seriescert.sequences").term
+def count_calls(monkeypatch, name):
+    """Counter of the (spec, n) pairs passed to sequences.<name>, wrapped
+    in every seriescert module that holds it."""
+    original = getattr(importlib.import_module("seriescert.sequences"), name)
     calls = collections.Counter()
 
     def counting(spec, n, *args, **kwargs):
@@ -48,9 +52,14 @@ def term_calls(monkeypatch):
 
     for info in pkgutil.iter_modules(seriescert.__path__):
         module = importlib.import_module(f"seriescert.{info.name}")
-        if getattr(module, "term", None) is original:
-            monkeypatch.setattr(module, "term", counting)
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return calls
+
+
+@pytest.fixture
+def term_calls(monkeypatch):
+    return count_calls(monkeypatch, "term_form")
 
 
 @pytest.fixture
@@ -59,16 +68,16 @@ def sum_steps(monkeypatch):
     add_term = convergents._add_term
     steps = []
 
-    def recording(conv, product, a, *args):
-        steps.append(conv.m + 1)
-        return add_term(conv, product, a, *args)
+    def recording(s, *args):
+        steps.append(s.m + 1)
+        return add_term(s, *args)
 
     monkeypatch.setattr(convergents, "_add_term", recording)
     return steps
 
 
 def built(calls, spec):
-    """Indices of spec passed to term, after checking none came twice."""
+    """Indices of spec passed to term_form, after checking none came twice."""
     assert max(calls.values()) == 1, calls
     return sorted(n for s, n in calls if s == spec)
 
@@ -120,6 +129,18 @@ def test_cli_analyze_builds_each_term_once(k, term_calls, tmp_path):
     with redirect_stdout(io.StringIO()):
         assert main(argv + (["--k", k] if k else [])) == 0
     assert built(term_calls, P4) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("k", [None, "2"])
+def test_cli_analyze_builds_no_term_of_a_power_of_two(k, monkeypatch, tmp_path):
+    built_terms = count_calls(monkeypatch, "term")
+    spec = tmp_path / "p4.json"
+    spec.write_text('{"family": "power", "a1": "2", "e": "4"}')
+    argv = ["analyze", "--spec", str(spec), "--alpha", "5/2", "--from", "2", "--to", "4"]
+    with redirect_stdout(io.StringIO()):
+        assert main(argv + (["--k", k] if k else [])) == 0
+    # terms 1..5 were built before; every cell is now read from the forms
+    assert built_terms == {}
 
 
 def test_sums_read_no_term_past_their_index(term_calls, tmp_path, capsys):

@@ -194,12 +194,6 @@ class Form:
             self._bits = self.value.bit_length()
         return self._bits
 
-    def top(self, s: int) -> int:
-        """``value >> s``, from the bit length alone for a power of two."""
-        if self.power_of_two:
-            return 1 << self.bits - 1 - s if self.bits > s else 0
-        return self.value >> s
-
     def __eq__(self, other: object) -> bool:
         """Equal values; powers of one base b >= 2 by their exponents."""
         if not isinstance(other, Form):

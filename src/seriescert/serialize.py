@@ -192,7 +192,8 @@ def decimal_digits(value: Union[int, Form]) -> int:
     bits = value.bits or 1
     # 2**(bits-1) <= value < 2**bits holds at most one power of ten
     low, high = _floor_log10_2(bits - 1), _floor_log10_2(bits)
-    # 10**high is no power of two but 1, so 2**(bits-1) < 10**high
+    # 2**(bits-1) is a power of ten only for bits = 1, so a power of two
+    # has floor((bits-1) * log10(2)) + 1 digits
     if low is not None and (low == high or value.power_of_two):
         return low + 1
     if low is None or high is None:
@@ -200,7 +201,7 @@ def decimal_digits(value: Union[int, Form]) -> int:
     # value's top bits settle value >= 10**high unless they fall between
     # the bounds: unless value lies within a relative h * 2**-127 of it
     lo, hi, s = _ten_pow_bounds(high)
-    top = value.top(s)
+    top = value.value >> s
     if lo <= top < hi:
         return high + (value.value >= 10**high)
     return high + (top >= hi)

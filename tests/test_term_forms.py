@@ -68,10 +68,12 @@ def test_forms_are_equal_when_their_values_are(b, e, c, f):
         assert hash(x) == hash(y) == hash(b**e)
 
 
-def test_shrink_factors_compare_by_value():
+def test_forms_of_one_and_shrink_factors_compare_by_value():
+    assert Form(1, 2) == Form(1, 3) == Form(1)
     # outside a pass each call makes its own forms
-    assert shrink_factor(PowerRecurrence(4, 2), 3, 2) == shrink_factor(PowerRecurrence(2, 2, 2), 3, 2)
-    assert shrink_factor(PowerRecurrence(4, 2), 3, 2) != shrink_factor(PowerRecurrence(4, 2), 3, 1)
+    p4, shifted = PowerRecurrence(4, 2), PowerRecurrence(2, 2, 2)
+    assert shrink_factor(p4, 3, 2) == shrink_factor(shifted, 3, 2)
+    assert shrink_factor(p4, 3, 2) != shrink_factor(p4, 3, 1)
 
 
 @pytest.mark.parametrize("n", range(1018, 1031))

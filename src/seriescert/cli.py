@@ -11,8 +11,8 @@ InvalidParameterError on a usage error; main() maps every failure to the
 JSON error object. The commands call the library's checks, not copies of
 them. analyze walks the window once: one term stream (each a_n read
 once, as a form) and one run of the partial-sum step feed the library's
-per-index predicates. search reads the enumeration once, for its CSV rows and its
-minimum alike.
+per-index predicates. search reads the enumeration once, for its CSV
+rows and its minimum alike.
 
 Exit status contract: 0 all requested checks verified, 1 some check
 failed or stayed inconclusive, 2 invalid input or violated hypothesis.

@@ -96,8 +96,8 @@ def tail_bound(
 def enclose(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
-    """Enclosure S_{m+1} -/+ 1/a_{m+1} of the first m terms, after the
-    checks of tail_bound, which a_{m+1} is read under before the sum."""
+    """Enclosure S_{m+1} -/+ 1/a_{m+1} of the first m terms. The checks of
+    tail_bound come first, and a_{m+1} is read before the sum's terms."""
     fingerprint = spec_fingerprint(spec)
     a = _tail_term(spec, m, digit_budget)
     s = partial_sum(spec, m + 1, digit_budget)

@@ -106,7 +106,12 @@ def test_analyze_of_a_power_of_two_builds_only_sum_numerators(monkeypatch, tmp_p
         return lambda original: lambda *args: calls.append(name) or original(*args)
 
     def sized(original, sizes):
-        return lambda *args: (lambda x: sizes.append(x.bit_length()) or x)(original(*args))
+        def recorded(*args):
+            x = original(*args)
+            sizes.append(x.bit_length())
+            return x
+
+        return recorded
 
     patch_everywhere(monkeypatch, "term", counting("term"))
     patch_everywhere(monkeypatch, "checked_pow", counting("checked_pow"))
@@ -209,10 +214,10 @@ def test_explicit_sums_match_fractions(terms, last):
 @given(explicit_terms, explicit_terms, explicit_terms)
 def test_henrici_step_matches_fraction(p, q, a):
     value = Fraction(p, q)
-    q = Form(value.denominator)
+    denominator = Form(value.denominator)
     total = value + Fraction(1, a)
     expected = Convergent(2, total.numerator, total.denominator), value.denominator * a
-    s = _add_term(_Sum(1, value.numerator, q, q), Form(a))
+    s = _add_term(_Sum(1, value.numerator, denominator, denominator), Form(a))
     assert (s.convergent, s.product.value) == expected
 
 

@@ -23,8 +23,6 @@ machine-readable code.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 from typing import Optional
@@ -136,11 +134,8 @@ def _run_analyze(config: argparse.Namespace) -> int:
     if config.fmt == "json":
         _emit(canonical_dumps(rows), config.out)
     else:
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=ANALYZE_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
-        _emit(buffer.getvalue(), config.out)
+        _emit("".join(map(_csv_row, [ANALYZE_COLUMNS, *(row.values() for row in rows)])),
+              config.out)
     return 0 if all_pass else 1
 
 
@@ -210,22 +205,27 @@ def _run_search(config: argparse.Namespace) -> int:
     rows, scale = _scaled_brackets(spec, config.degree, config.height, enc, config.enum_cap)
     if config.csv_path:
         header = [f"e{i}" for i in range(config.degree + 1)] + ["abs_lower", "abs_upper"]
-        lines = [",".join(header)]
+        lines = [_csv_row(header)]
         rows = _written(rows, scale, lines)
     result = _minimum(rows, scale)
     if config.csv_path:
         with open(config.csv_path, "w") as handle:
-            handle.write("\r\n".join(lines) + "\r\n")  # csv.writer's line ending
+            handle.write("".join(lines))
     _emit(canonical_dumps(brute_force_obj(result)), config.out)
     return 0
 
 
+def _csv_row(cells) -> str:
+    """One CSV row, as csv.writer spells it: cells joined by commas, then
+    CRLF. No cell of analyze or search holds a comma, a quote or a line
+    break, so none is quoted."""
+    return ",".join(map(str, cells)) + "\r\n"
+
+
 def _written(rows, scale, lines):
-    """The rows, each appended to lines as a CSV row as it passes. A cell
-    is an integer or a reduced p/q, so none needs csv quoting."""
+    """The rows, each appended to lines as a CSV row as it passes."""
     for vec, low, high in rows:
-        cells = [*map(str, vec), ratio_to_str(low, scale), ratio_to_str(high, scale)]
-        lines.append(",".join(cells))
+        lines.append(_csv_row([*vec, ratio_to_str(low, scale), ratio_to_str(high, scale)]))
         yield vec, low, high
 
 

@@ -61,6 +61,7 @@ from .sequences import (
     one_pass,
     term_stream,
 )
+from .serialize import lowest_terms
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class Convergent:
 
     @property
     def value(self) -> Fraction:
-        return Fraction(self.p, self.q)
+        return lowest_terms(self.p, self.q)
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,9 @@ class Enclosure:
     terms_used: int
     fingerprint: str
 
-    lo = property(lambda enc: Fraction(*lowest_terms(enc.L, enc.D)))
-    hi = property(lambda enc: Fraction(*lowest_terms(enc.U, enc.D)))
-    width = property(lambda enc: Fraction(*lowest_terms(enc.U - enc.L, enc.D)))
+    lo = property(lambda enc: lowest_terms(enc.L, enc.D))
+    hi = property(lambda enc: lowest_terms(enc.U, enc.D))
+    width = property(lambda enc: lowest_terms(enc.U - enc.L, enc.D))
 
     def contains(self, value: Fraction) -> bool:
         return self.lo <= value <= self.hi

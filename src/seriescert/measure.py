@@ -99,7 +99,7 @@ class PolynomialInt:
         if L > U:
             raise InvalidParameterError("interval endpoints out of order")
         scale = D**self.degree
-        return tuple(Fraction(*lowest_terms(v, scale)) for v in _horner(self.coeffs, L, U, D))
+        return tuple(lowest_terms(v, scale) for v in _horner(self.coeffs, L, U, D))
 
 
 def _horner(coeffs: tuple[int, ...], L: int, U: int, D: int) -> tuple[int, int]:
@@ -286,13 +286,13 @@ def _abs_scaled(P: PolynomialInt, enc: Enclosure) -> tuple[tuple[int, int], int]
 def abs_bracket(P: PolynomialInt, enc: Enclosure) -> tuple[Fraction, Fraction]:
     """Certified bracket [low, high] for |P(theta)| given theta in enc."""
     pair, scale = _abs_scaled(P, enc)
-    return tuple(Fraction(*lowest_terms(v, scale)) for v in pair)
+    return tuple(lowest_terms(v, scale) for v in pair)
 
 
 def abs_lower_bound(P: PolynomialInt, enc: Enclosure) -> Fraction:
     """Certified lower bound for |P(theta)|; 0 means inconclusive."""
     (low, _), scale = _abs_scaled(P, enc)
-    return Fraction(*lowest_terms(low, scale))
+    return lowest_terms(low, scale)
 
 
 def _require_sandwich(spec: SequenceSpec, v: _Verdicts, first: int, last: int) -> None:
@@ -389,10 +389,8 @@ def enumerate_brackets(
     The class, the enclosure and the size are checked at the call; the
     brackets are made as they are read."""
     rows, scale = _scaled_brackets(spec, d, H, enc, enumeration_cap)
-    return (
-        (vec, Fraction(*lowest_terms(low, scale)), Fraction(*lowest_terms(high, scale)))
-        for vec, low, high in rows
-    )
+    return ((vec, lowest_terms(low, scale), lowest_terms(high, scale))
+            for vec, low, high in rows)
 
 
 def _scaled_brackets(
@@ -430,8 +428,8 @@ def _minimum(rows: Iterable[tuple[tuple[int, ...], int, int]], scale: int) -> Br
             best = (vec, low, high)
     return BruteForceResult(
         argmin=PolynomialInt(best[0]),
-        min_lower=Fraction(*lowest_terms(best[1], scale)),
-        min_upper=Fraction(*lowest_terms(best[2], scale)),
+        min_lower=lowest_terms(best[1], scale),
+        min_upper=lowest_terms(best[2], scale),
         count=count,
     )
 

@@ -18,10 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any, NamedTuple, Union
 
 from .errors import DigitBudgetError, InvalidParameterError
 from .sequences import (
@@ -59,6 +60,30 @@ MAX_SPEC_DEPTH = 100
 _INT_SYNTAX = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 
 
+def _power_table(base, leaf: int):
+    """``w -> base**w``, memoized together with the powers it was built
+    from: one power up to ``leaf``, above it one more factor on
+    ``base**(w - 1)`` when that is known, else the product of the powers
+    of the two halves, the smaller half first so that the larger one can
+    take the one-factor step. ``base`` is an int or, inside an exact
+    decimal context, a Decimal."""
+    mem = {}
+
+    def power(w):
+        if (result := mem.get(w)) is None:
+            if w <= leaf:
+                result = base**w
+            elif w - 1 in mem:
+                result = mem[w - 1] * base
+            else:
+                w2 = w >> 1
+                result = power(w2) * power(w - w2)
+            mem[w] = result
+        return result
+
+    return power
+
+
 def int_to_str(value: int) -> str:
     """Decimal string of an arbitrary-size integer, equal to ``str(value)``.
 
@@ -75,22 +100,7 @@ def int_to_str(value: int) -> str:
     D = decimal.Decimal
     BITLIM = _INT_TO_STR_CUTOVER_BITS
     D2 = D(2)
-    mem = {}
-
-    def w2pow(w):
-        """D(2)**w, memoized together with the powers it was built from."""
-        if (result := mem.get(w)) is None:
-            if w <= BITLIM:
-                result = D2**w
-            elif w - 1 in mem:
-                result = (t := mem[w - 1]) + t
-            else:
-                w2 = w >> 1
-                # recurse on the smaller half first, so the larger one can
-                # take the cheap ``w - 1 in mem`` branch
-                result = w2pow(w2) * w2pow(w - w2)
-            mem[w] = result
-        return result
+    w2pow = _power_table(D2, BITLIM)
 
     def inner(n, w):
         if w <= BITLIM:
@@ -115,20 +125,7 @@ def _digits_to_int(digits: str) -> int:
     ``_pylong._str_to_int_inner``, gh-90716): split in halves, combine
     with one multiplication by a memoized power of 5 and a shift."""
     DIGLIM = _STR_TO_INT_CUTOVER_CHARS
-    mem = {}
-
-    def w5pow(w):
-        """5**w, memoized together with the powers it was built from."""
-        if (result := mem.get(w)) is None:
-            if w <= DIGLIM:
-                result = 5**w
-            elif w - 1 in mem:
-                result = mem[w - 1] * 5
-            else:
-                w2 = w >> 1
-                result = w5pow(w2) * w5pow(w - w2)
-            mem[w] = result
-        return result
+    w5pow = _power_table(5, DIGLIM)
 
     def inner(a, b):
         if b - a <= DIGLIM:
@@ -229,24 +226,37 @@ def rational_obj(value: Fraction) -> dict:
     return {"num": int_to_str(value.numerator), "den": int_to_str(value.denominator)}
 
 
-def lowest_terms(n: int, d: int) -> tuple[int, int]:
-    """n/d in lowest terms, for d > 0. math.gcd is quadratic in the size of
-    its operands, so the factors of two cancel by shifts and only the odd
-    parts meet it: when d is a power of two, as the enclosures of a1 = 2^k
-    sequences make it, no gcd of big integers is taken. Prefer it to
-    Fraction(n, d), whose division by a big power-of-two gcd is quadratic."""
+class _Reduced(NamedTuple):
+    """A ratio in lowest terms with a positive denominator, as the
+    numbers.Rational contract requires: Fraction() takes the numerator and
+    denominator of a Rational as they are, with no gcd."""
+
+    numerator: int
+    denominator: int
+
+
+numbers.Rational.register(_Reduced)
+
+
+def lowest_terms(n: int, d: int) -> Fraction:
+    """``Fraction(n, d)`` for d > 0, reduced once. math.gcd is quadratic in
+    the size of its operands, so the factors of two cancel by shifts and
+    only the odd parts meet it: when d is a power of two, as the
+    enclosures of a1 = 2^k sequences make it, no gcd of big integers is
+    taken. Fraction() then takes the reduced pair as it is."""
     if n == 0:
-        return 0, 1
+        return Fraction(0)
     (n_odd, n_twos), (d_odd, d_twos) = _odd_part(n), _odd_part(d)
     g = math.gcd(n_odd, d_odd)
     shift = min(n_twos, d_twos)
-    return n_odd // g << n_twos - shift, d_odd // g << d_twos - shift
+    return Fraction(_Reduced(n_odd // g << n_twos - shift, d_odd // g << d_twos - shift))
 
 
 def ratio_to_str(n: int, d: int) -> str:
     """``str(Fraction(n, d))`` ("p/q", or "p" for an integer) for d > 0, at
     any size."""
-    p, q = lowest_terms(n, d)
+    ratio = lowest_terms(n, d)
+    p, q = ratio.numerator, ratio.denominator
     return int_to_str(p) if q == 1 else f"{int_to_str(p)}/{int_to_str(q)}"
 
 

@@ -6,7 +6,7 @@ import pytest
 import seriescert
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def fresh_interpreter_env():
     """Environment for a child interpreter that imports this seriescert and
     starts at the interpreter's default int/str digit limit, which a test

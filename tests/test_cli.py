@@ -6,8 +6,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from seriescert.cli import main
+from seriescert.cli import ANALYZE_COLUMNS, _csv_row, main
+from seriescert.convergents import partial_sum
+from seriescert.serialize import int_to_str, ratio_to_str, spec_from_obj
 
 P4_OBJ = {"family": "power", "a1": "2", "e": "4", "startOffset": 1}
 FE_OBJ = {"family": "factorialExp", "base": "2", "offset": "1", "startOffset": 1}
@@ -127,6 +131,15 @@ def test_term_prints_exact_integer(p4_path, capsys):
 def test_term_prints_truncated_partial_sum(p4_path, capsys):
     assert main(["term", "--spec", p4_path, "--m", "3", "--digits", "12"]) == 0
     assert capsys.readouterr().out.strip() == "0.562515258789"
+
+
+@pytest.mark.parametrize("obj, m", [(P4_OBJ, 2), ({"family": "explicit", "terms": ["1", "2"]}, 2)])
+def test_term_with_no_fractional_digits_prints_the_whole_part(obj, m, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(obj))
+    total = partial_sum(spec_from_obj(obj), m)
+    assert main(["term", "--spec", str(path), "--m", str(m), "--digits", "0"]) == 0
+    assert capsys.readouterr().out == int_to_str(total.p // total.q) + "\n"
 
 
 def test_term_requires_one_selector(p4_path, capsys):
@@ -305,3 +318,25 @@ def test_revalidate_rejects_a_certificate_that_is_not_an_object(tmp_path, capsys
     out.write_text("[]")
     assert main(["certify", "--revalidate", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-parameter"
+
+
+ANALYZE_ROWS = st.tuples(
+    st.integers(1, 10**4), st.integers(1, 10**7), st.sampled_from(["pass", "fail", ""]),
+    st.sampled_from(["pass", "fail", ""]), st.sampled_from(["pass", "fail", ""]),
+    st.floats().map(lambda x: f"{x:.6g}"), st.just("pass"), st.sampled_from(["pass", "fail"]),
+    st.sampled_from(["pass", "fail", ""]),
+)
+SEARCH_ROWS = st.builds(
+    lambda vec, low, high, scale: [*vec, ratio_to_str(low, scale), ratio_to_str(high, scale)],
+    st.lists(st.integers(-50, 50), min_size=2, max_size=5), st.integers(0, 10**40),
+    st.integers(0, 10**40), st.integers(1, 10**40),
+)
+
+
+@given(st.lists(ANALYZE_ROWS, max_size=4), st.lists(SEARCH_ROWS, max_size=4))
+def test_csv_rows_are_what_csv_writer_writes(analyze_rows, search_rows):
+    search_header = ["e0", "e1", "abs_lower", "abs_upper"]
+    for rows in ([ANALYZE_COLUMNS, *analyze_rows], [search_header, *search_rows]):
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows(rows)
+        assert "".join(map(_csv_row, rows)) == buffer.getvalue()

@@ -76,8 +76,29 @@ def spelled(value):
     return text
 
 
+LIMITS = [640, 4300, 0]
+
+
 @pytest.fixture(scope="module")
-def expected_digests():
+def children(fresh_interpreter_env):
+    """One fresh interpreter per limit, all started at once: they run side
+    by side, and alongside the oracle in this process."""
+    procs = {
+        limit: subprocess.Popen(
+            [sys.executable, "-X", f"int_max_str_digits={limit}", "-c", SCRIPT],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=fresh_interpreter_env,
+        )
+        for limit in LIMITS
+    }
+    yield procs
+    for proc in procs.values():
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.fixture(scope="module")
+def expected_digests(children):
+    # the children are started first, so the oracle runs while they do
     namespace = {}
     exec(VALUES, namespace)
     values = namespace["values"]
@@ -89,14 +110,12 @@ def expected_digests():
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="interpreter has no int/str digit limit")
-@pytest.mark.parametrize("limit", [640, 4300, 0])
-def test_int_to_str_equals_str_at_every_limit(limit, expected_digests, fresh_interpreter_env):
-    proc = subprocess.run(
-        [sys.executable, "-X", f"int_max_str_digits={limit}", "-c", SCRIPT],
-        capture_output=True, text=True, env=fresh_interpreter_env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+@pytest.mark.parametrize("limit", LIMITS)
+def test_int_to_str_equals_str_at_every_limit(limit, children, expected_digests):
+    proc = children[limit]
+    stdout, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 0, stderr
+    result = json.loads(stdout)
     assert result["unchanged"] is True
     assert result["digests"] == expected_digests
     assert result["unread"] == []

@@ -26,7 +26,7 @@ from seriescert import (
     subseries,
 )
 from seriescert.measure import _horner
-from seriescert.serialize import ratio_to_str
+from seriescert.serialize import lowest_terms, ratio_to_str
 
 P4 = PowerRecurrence(2, 4)
 
@@ -143,3 +143,20 @@ def test_enumeration_and_minimum_equal_a_fraction_fold():
 def test_ratio_to_str_spells_the_reduced_fraction(m, odd, twos, extra):
     n, d = m << extra, odd << twos
     assert ratio_to_str(n, d) == str(Fraction(n, d))
+
+
+# odd * 2**twos: a power of two (odd = 1), an odd value (twos = 0), or mixed
+ODD = st.one_of(st.just(1), st.integers(0, 2**3000).map(lambda x: 2 * x + 1))
+TWOS = st.one_of(st.just(0), st.integers(1, 3000))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.just(0), st.builds(lambda sign, odd, twos: sign * odd << twos,
+                                       st.sampled_from([1, -1]), ODD, TWOS)),
+       st.builds(lambda odd, twos: odd << twos, ODD, TWOS), ODD)
+def test_lowest_terms_is_the_fraction(n, d, common):
+    n, d = n * common, d * common
+    ratio, oracle = lowest_terms(n, d), Fraction(n, d)
+    assert type(ratio) is Fraction and ratio == oracle
+    assert (ratio.numerator, ratio.denominator) == (oracle.numerator, oracle.denominator)
+    assert hash(ratio) == hash(oracle)

@@ -36,9 +36,10 @@ from seriescert import (
     term,
 )
 from seriescert.cli import main
-from seriescert.convergents import Convergent, _add_term, _prefix_sums, _Sum
+from seriescert.convergents import Convergent, _add_term, _prefix_sums, _Sum, partial_sum
 from seriescert.errors import SeriesCertError
 from seriescert.sequences import Form, _Verdicts
+from seriescert.witness import rational_prefix
 
 convergents = importlib.import_module("seriescert.convergents")
 sequences = importlib.import_module("seriescert.sequences")
@@ -143,6 +144,39 @@ def test_henrici_step_takes_no_gcd_of_two_big_integers(monkeypatch):
     assert s.convergent.value == sum(Fraction(1, t) for t in spec.terms)
     assert s.product.value == 2 ** (1 + 1000 + 60000 + 120000)
     assert max(taken).bit_length() <= SMALL_BITS
+
+
+def gcd_sizes(monkeypatch):
+    """The bit length of the smaller operand of each math.gcd call from now
+    on, until the monkeypatch is undone."""
+    sizes, gcd = [], math.gcd
+    monkeypatch.setattr(math, "gcd",
+                        lambda x, y: sizes.append(min(abs(x), abs(y)).bit_length()) or gcd(x, y))
+    return sizes
+
+
+def test_search_reduces_its_brackets_with_no_gcd_of_two_big_integers(monkeypatch, tmp_path):
+    # the minimum's brackets are over D^2, D = a_6 = 2**(512 * 4**5): a
+    # second reduction by Fraction() would take a gcd of ~10**6-bit odd parts
+    spec = tmp_path / "power.json"
+    spec.write_text(f'{{"family": "power", "a1": "{2**512}", "e": "4"}}')
+    taken = gcd_sizes(monkeypatch)
+    argv = ["search", "--spec", str(spec), "--degree", "2", "--height", "1", "--terms", "5",
+            "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
+    monkeypatch.undo()
+    assert taken and max(taken) <= SMALL_BITS
+
+
+def test_a_shifted_prefix_is_not_reduced_again(monkeypatch):
+    # S_6 of a1 = 2**512 is over a_6 = 2**(512 * 4**5), and the sum step
+    # proved it reduced
+    taken = gcd_sizes(monkeypatch)
+    prefix = rational_prefix(PowerRecurrence(2**512, 4, start_offset=7))
+    monkeypatch.undo()
+    s = partial_sum(PowerRecurrence(2**512, 4), 6)
+    assert (prefix.numerator, prefix.denominator) == (s.p, s.q)
+    assert taken and max(taken) <= SMALL_BITS
 
 
 # ---------------------------------------------------------------------------

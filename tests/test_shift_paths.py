@@ -6,11 +6,12 @@ depend on which k: building 2**E by squaring, or 10**h to count digits,
 costs more for some exponents than for their neighbours.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seriescert import PowerRecurrence, term
-from seriescert.sequences import _odd_part, _times, checked_pow
+from seriescert import PowerRecurrence, serialize, term
+from seriescert.sequences import Form, _odd_part, _times, checked_pow
 from seriescert.serialize import _floor_log10_2, _ten_pow_bounds, decimal_digits, int_to_str
 
 # x = odd * 2**twos, signed, zero included
@@ -56,6 +57,19 @@ def test_ten_pow_bounds_are_exact_while_the_power_fits():
 def test_decimal_digits_next_to_a_power_of_ten(k, offset):
     value = 10**k + offset
     assert decimal_digits(value) == len(int_to_str(abs(value)))
+
+
+@pytest.mark.parametrize("undecided", ["low", "high", "both"])
+@pytest.mark.parametrize("value", [0, 9, 10, -(10**50), 2**64, 3**2000, 10**700 + 1, Form(8, 700)])
+def test_decimal_digits_spells_the_value_when_the_constant_cannot_decide(
+    monkeypatch, value, undecided
+):
+    plain = value.value if isinstance(value, Form) else abs(value)
+    bits = plain.bit_length() or 1
+    skipped = {"low": {bits - 1}, "high": {bits}, "both": {bits - 1, bits}}[undecided]
+    decide = serialize._floor_log10_2
+    monkeypatch.setattr(serialize, "_floor_log10_2", lambda n: None if n in skipped else decide(n))
+    assert decimal_digits(value) == len(str(plain))
 
 
 def test_power_of_two_terms_are_counted_from_their_top_bits():

@@ -2,31 +2,16 @@
 
 The m-th convergent here is the plain partial sum p/q = sum of 1/a_n for
 n up to m, reduced to lowest terms. Partial sums come from one step,
-:func:`_add_term`, applied along the term stream (``term_stream``, which
-makes the form of each a_n once): p_m/q_m and the product a_1 a_2 ... a_m,
-plus a_{m+1}, give p_{m+1}/q_{m+1} and a_1 ... a_{m+1}. The step carries
-q and the product as forms (``sequences.Form``: b**E with its bit length)
-and builds only p. Every step checks that the sum is reduced and that
-q <= a_1 a_2 ... a_m; a violation would mean the arithmetic itself is
-broken, so it raises ExactnessError rather than returning a flag. A
-partial sum reads no term past its own index, and inside one pass
-(``one_pass``) each partial sum is built once and extended from there.
-The public results (Convergent, TailShrink) hold plain integers, built
-from the forms when they are made or read.
-
-For the built-in families the step is a chain step. When q_{m-1} = b**E0
-and a_m = b**E1 with E1 > E0, q_{m-1} divides a_m and
-p_m/q_m = (p_{m-1} b**(E1-E0) + 1)/a_m, with no gcd and no division.
-That fraction is reduced exactly when its numerator, which is 1 mod b,
-is prime to b, and the step still checks this without a division by b:
-with b = o * 2**t, o odd, p must be odd if t > 0 (a bit test) and
-gcd(p mod o, o) = 1 if o > 1. q_1 = a_1, so along such a sequence every
-q_m is a_m, every step chains, and the product is b**(E_1 + ... + E_m):
-q <= product is E_m <= E_1 + ... + E_m. Any other step (explicit terms,
-a1 = 1) is Henrici's addition on the values, the generic step, with its
-factors of two cancelled by shifts before any gcd. The chain step shifts
-p by t*(E1-E0) after the power of o: with a_1 = 2**k it is a shift and
-an addition.
+:func:`_add_term`, applied along the term stream: p_m/q_m and the
+product a_1 a_2 ... a_m, plus a_{m+1}, give p_{m+1}/q_{m+1} and
+a_1 ... a_{m+1}. The step carries q and the product as forms
+(``sequences.Form``) and builds only p. Every step checks that the sum
+is reduced and that q <= a_1 a_2 ... a_m; a violation would mean the
+arithmetic itself is broken, so it raises ExactnessError rather than
+returning a flag. A partial sum reads no term past its own index, and
+inside one pass (``one_pass``) each partial sum is built once and
+extended from there. The public results (Convergent, TailShrink) hold
+plain integers, built from the forms when they are made or read.
 
 The shrink factor b_n = (a_1 a_2 ... a_n)^alpha / a_{n+1} is held as the
 exact pair (product, next term) of forms plus the exponent. It is never
@@ -50,7 +35,7 @@ from .sequences import (
     Ordering,
     SequenceSpec,
     _as_positive_fraction,
-    _budget_check,
+    _bits_check,
     _compare_products,
     _decimal,
     _odd_part,
@@ -135,33 +120,29 @@ class _Sum(NamedTuple):
 _EMPTY = _Sum(0, 0, Form(1), Form(1))
 
 
-def _exceeds(x: Form, y: Form) -> bool:
-    """x > y: by exponents for powers of one base, else by bit lengths, and
-    by values only when those tie."""
-    if x.base == y.base:
-        return x.base >= 2 and x.exp > y.exp
-    return x.bits > y.bits or x.bits == y.bits and x.value > y.value
-
-
 def _add_term(s: _Sum, a: Form, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> _Sum:
     """The sum step: p/q + 1/a in lowest terms, and the product times a.
 
     The first step gives 1/a over the product a. If q = b**E0 and
-    a = b**E1 with E1 > E0, q divides a and the step is the chain step
-    p*b**(E1-E0) + 1 over a; q and the product stay powers of b, and only
-    the numerator is built. Otherwise it is Henrici's addition (as in
-    Fraction) on the values: p/q is reduced, so only g = gcd(q, a) can
-    cancel, its factor of two by shifts.
+    a = b**E1 with E1 > E0 (every step along a built-in family, where
+    q_m = a_m), q divides a and the step is the chain step
+    p*b**(E1-E0) + 1 over a, with no gcd and no division: q and the
+    product stay powers of b, q <= product is E1 <= E_1 + ... + E_m, and
+    only the numerator is built, as the power of the odd part o of
+    b = o*2**t and a shift. It is reduced exactly when p, which is 1 mod
+    b, is prime to b: odd if t > 0 (a bit test) and gcd(p mod o, o) = 1
+    if o > 1. Otherwise (explicit terms, a1 = 1) it is Henrici's addition
+    (as in Fraction) on the values: p/q is reduced, so only
+    g = gcd(q, a) can cancel, its factor of two by shifts.
     """
     m, q = s.m + 1, s.q
     if s.p == 0:  # 0/1 + 1/a
         return _Sum(m, 1, a, a)
     if q.base == a.base >= 2 and a.exp > q.exp:
         b, de = a.base, a.exp - q.exp
-        _budget_check(b, de, digit_budget)
+        _bits_check(b.bit_length(), de, digit_budget)
         o, t = _odd_part(b)
         p, q, twos = _times_pow(s.p, b, de) + 1, a, t * a.exp
-        # q = b**E1: p must be odd if t > 0, prime to o if o > 1
         reduced = (t == 0 or p & 1 == 1) and (o == 1 or math.gcd(p % o, o) == 1)
     else:
         # q = qo*2**qt, a = ao*2**twos, g = go*2**gt, p*(a/g) + q/g = to*2**tt,
@@ -182,7 +163,7 @@ def _add_term(s: _Sum, a: Form, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> _Su
         raise ExactnessError(
             f"partial sum at m={m} is not reduced: {_decimal(p)}/{_decimal(q.value)}"
         )
-    if _exceeds(q, product):
+    if q > product:
         raise ExactnessError(
             f"denominator bound violated at m={m}: q={_decimal(q.value)} exceeds term product"
         )
@@ -232,7 +213,7 @@ def denominator_bound_holds(
     if m < 1:
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(m)}")
     s = _prefix_sums(spec, digit_budget)(m)
-    return not _exceeds(s.q, s.product)
+    return not s.q > s.product
 
 
 def shrink_factor(

@@ -42,11 +42,12 @@ from .errors import (
 )
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
+    Form,
     Ordering,
     SequenceSpec,
     _as_k,
     _as_positive_fraction,
-    _budget_check,
+    _bits_check,
     _compare_products,
     _decimal,
     _Verdicts,
@@ -226,7 +227,7 @@ def qn_exponent_bound_holds(
     if n < 1:
         raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
     q = partial_sum(spec, n, digit_budget).q
-    return v.q_exponent_ok(q, term_stream(spec, digit_budget)(n))
+    return v.q_exponent_ok(Form(q), term_stream(spec, digit_budget)(n))
 
 
 def q_growth_holds(
@@ -268,7 +269,7 @@ def find_n1(
     threshold = H * d * (d + 1)
     diff = alpha - d
     p, s = diff.numerator, diff.denominator
-    _budget_check(threshold, s, digit_budget)
+    _bits_check(threshold.bit_length(), s, digit_budget)
     for conv in convergent_range(spec, n_max, digit_budget):
         order = _compare_products(((conv.q, p),), ((threshold, s),), digit_budget)
         if order is Ordering.GREATER:

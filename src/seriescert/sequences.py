@@ -16,35 +16,21 @@ prefix is a rational number and is reported separately by the
 certification layer.
 
 All comparisons with fractional exponents are decided exactly: x vs
-y**(p/s) is resolved by comparing the integers x**s and y**p.  When the
-bit lengths of x and y already place x**s and y**p in disjoint ranges
-of powers of two, that settles it and neither power is built; powers of
-one base compare their exponents.  Nothing in this module ever rounds;
-the verdict exponents (alpha+1, k*alpha) are fixed once per call
-(:class:`_Verdicts`), not on every row.  Powers and products apply their
-factor of two as a shift, so for a_1 = 2**k no term costs a squaring;
-b = o * 2**t gives a_n = b**E_n its t*E_n twos, so the sum step and the
-running product never scan a term for them.
+y**(p/s) is resolved by comparing the integers x**s and y**p, mostly
+from bit lengths alone (:func:`_compare_products`).  Nothing in this
+module ever rounds.  Powers and products apply their factor of two as a
+shift, so for a_1 = 2**k no term costs a squaring.
 
 Every family but ``Explicit`` has a_n = b**E_n with E_n increasing in n
 (n! + c, e**(n-1), or either through a strictly increasing index map).
-:func:`exponent_form` gives that pair (b, E_n) without building the
-power; an explicit term t has the form (t, 1).  :func:`term_form` adds
-the digit-budget check of :func:`term` and returns a :class:`Form`: the
-pair with the exact bit length of b**E_n, read from the pair for a
-power-of-two base (t*E_n + 1) or E_n = 1, and otherwise from the term,
-built once.  :func:`term` is that form plus the power.
-
-Checks read terms through :func:`term_stream`, a function that returns
-the memoized map n -> form of a_n: each form is made once, on first use,
-and its value is built only if something reads it.  Inside
-:func:`one_pass` all streams of one spec share their forms, so a public
-helper called by another reads the terms its caller has already made.
+Inside the package a term is a :class:`Form`, made by :func:`term_form`
+and read through :func:`term_stream`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -104,11 +90,6 @@ def _decimal(value) -> str:
     return int_to_str(value) if isinstance(value, int) else str(value)
 
 
-def _budget_check(base: int, exp: int, digit_budget: int) -> None:
-    """The size check of :func:`checked_pow`, without building the power."""
-    _bits_check(base.bit_length(), exp, digit_budget)
-
-
 def _bits_check(bits: int, exp: int, digit_budget: int) -> None:
     """The size check of :func:`checked_pow`, on a base of that bit length."""
     if exp < 0:
@@ -132,7 +113,7 @@ def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
     digit count of the result from above, so the power is never computed
     when it could not be stored within budget.
     """
-    _budget_check(base, exp, digit_budget)
+    _bits_check(base.bit_length(), exp, digit_budget)
     return _times_pow(1, base, exp)
 
 
@@ -194,16 +175,23 @@ class Form:
             self._bits = self.value.bit_length()
         return self._bits
 
+    def __gt__(self, other: Form) -> bool:
+        """Greater value: powers of one base b >= 2 by their exponents, else
+        by bit lengths, and by values only when those tie."""
+        if self.base == other.base:
+            return self.base >= 2 and self.exp > other.exp
+        return self.bits > other.bits or self.bits == other.bits and self.value > other.value
+
     def __eq__(self, other: object) -> bool:
-        """Equal values; powers of one base b >= 2 by their exponents."""
+        """Equal values: neither form is greater."""
         if not isinstance(other, Form):
             return NotImplemented
-        if self.base == other.base:
-            return self.exp == other.exp or self.base < 2
-        return self.bits == other.bits and self.value == other.value
+        return not (self > other or other > self)
 
     def __hash__(self) -> int:
-        return hash(self.value)
+        """hash(self.value), which for a positive int is its residue mod
+        the hash modulus, so no power is built."""
+        return hash(pow(self.base, self.exp, sys.hash_info.modulus))
 
     def __repr__(self) -> str:
         return f"Form({self.base!r}, {self.exp!r})"
@@ -214,8 +202,8 @@ Factors = tuple[tuple[Union[int, Form], int], ...]
 
 def _compare_products(lhs: Factors, rhs: Factors, digit_budget: int) -> Ordering:
     """Exact ordering of the product of x**k over the pairs (x, k) of lhs
-    against the same product over rhs, for x >= 1 (an int or a Form) and
-    k >= 1.
+    against the same product over rhs, for x >= 1 and k >= 1; an int x is
+    made a :class:`Form` on entry.
 
     Every factor first passes the size check of :func:`checked_pow` on its
     bit length, in order, so a comparison the budget refuses is refused as
@@ -226,21 +214,21 @@ def _compare_products(lhs: Factors, rhs: Factors, digit_budget: int) -> Ordering
     factors that are all powers b**E of one base b >= 2 compare their sums
     of k*E, and only factors of different bases are built and multiplied.
     """
+    lhs = [(Form(x) if isinstance(x, int) else x, k) for x, k in lhs]
+    rhs = [(Form(x) if isinstance(x, int) else x, k) for x, k in rhs]
     low = high = 0
     for x, k in lhs:
-        bits = x.bits if type(x) is Form else x.bit_length()
+        bits = x.bits
         _bits_check(bits, k, digit_budget)
         low, high = low + k * (bits - 1), high + k * bits
     for x, k in rhs:
-        bits = x.bits if type(x) is Form else x.bit_length()
+        bits = x.bits
         _bits_check(bits, k, digit_budget)
         low, high = low - k * bits, high - k * (bits - 1)
     if low >= 0:
         return Ordering.GREATER
     if high <= 0:
         return Ordering.LESS
-    lhs, rhs = (tuple((x if type(x) is Form else Form(x), k) for x, k in side)
-                for side in (lhs, rhs))
     base = lhs[0][0].base
     if base >= 2 and all(x.base == base for x, _ in lhs + rhs):
         left, right = (sum(x.exp * k for x, k in side) for side in (lhs, rhs))
@@ -373,14 +361,11 @@ class Subseries:
 SequenceSpec = Union[PowerRecurrence, FactorialExponent, Explicit, Subseries]
 
 
-def exponent_form(
-    spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> tuple[int, int]:
-    """(b, E) with a_n = b**E for the (offset-shifted) sequence, n >= 1.
-
-    Runs the index pre-checks of :func:`term` but builds no power. An
-    explicit term t is (t, 1).
-    """
+def _walk(spec: SequenceSpec, n: int, digit_budget: int) -> Form:
+    """The n-th term (n >= 1) of the (offset-shifted) sequence as a
+    :class:`Form`, after the index pre-checks of :func:`term`. A family
+    term carries the budget it is built under; an explicit term is given,
+    not built, so it carries none."""
     if n < 1:
         raise InvalidParameterError(f"term index must be >= 1, got {_decimal(n)}")
     i = n + spec.start_offset - 1
@@ -389,44 +374,52 @@ def exponent_form(
     limit = 10 * digit_budget
     match spec:
         case PowerRecurrence(a1=1):
-            return 1, 1
+            return Form(1, 1, digit_budget)
         case PowerRecurrence(a1=a1, e=e):
             if i - 1 >= limit.bit_length() or e ** (i - 1) > limit:
                 raise DigitBudgetError(
                     f"term {_decimal(i)} of the power recurrence exceeds the "
                     f"{digit_budget}-digit budget"
                 )
-            return a1, e ** (i - 1)
+            return Form(a1, e ** (i - 1), digit_budget)
         case FactorialExponent(base=base, offset=offset):
             if i - 1 >= limit.bit_length() or math.factorial(i) > limit:
                 raise DigitBudgetError(
                     f"term {_decimal(i)} of the factorial-exponent family exceeds the "
                     f"{digit_budget}-digit budget"
                 )
-            return base, math.factorial(i) + offset
+            return Form(base, math.factorial(i) + offset, digit_budget)
         case Explicit(terms=terms):
             if i > len(terms):
                 raise IndexOutOfRangeError(
                     f"explicit sequence has {len(terms)} terms, asked for index {_decimal(i)}"
                 )
-            return terms[i - 1], 1
+            return Form(terms[i - 1])
         case Subseries(inner=inner, index_map=index_map):
-            return exponent_form(inner, index_map.apply(i), digit_budget)
+            return _walk(inner, index_map.apply(i), digit_budget)
     raise TypeError(f"not a sequence spec: {spec!r}")
+
+
+def exponent_form(
+    spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
+) -> tuple[int, int]:
+    """(b, E) with a_n = b**E for the (offset-shifted) sequence, n >= 1.
+
+    Runs the index pre-checks of :func:`term` but builds no power. An
+    explicit term t is (t, 1).
+    """
+    form = _walk(spec, n, digit_budget)
+    return form.base, form.exp
 
 
 def term_form(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Form:
     """The n-th term (n >= 1) as a :class:`Form`, after the index
     pre-checks and the budget check of :func:`term`, in the same order and
     with the same messages; nothing is built."""
-    b, e = exponent_form(spec, n, digit_budget)
-    while isinstance(spec, Subseries):
-        spec = spec.inner
-    # an explicit term is given, not built, so no budget applies to it
-    if isinstance(spec, Explicit):
-        return Form(b)
-    _budget_check(b, e, digit_budget)
-    return Form(b, e, digit_budget)
+    form = _walk(spec, n, digit_budget)
+    if form.digit_budget is not None:
+        _bits_check(form.base.bit_length(), form.exp, digit_budget)
+    return form
 
 
 def term(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> int:
@@ -491,10 +484,10 @@ def compare_power(
     """
     if x < 1 or y < 1:
         raise InvalidParameterError("compare_power needs positive integers")
-    return _versus(x, y, _as_positive_fraction(e, "exponent"), digit_budget)
+    return _versus(Form(x), Form(y), _as_positive_fraction(e, "exponent"), digit_budget)
 
 
-def _versus(x: Union[int, Form], y: Union[int, Form], e: Fraction, digit_budget: int) -> Ordering:
+def _versus(x: Form, y: Form, e: Fraction, digit_budget: int) -> Ordering:
     """The comparison of :func:`compare_power`, for arguments already valid."""
     return _compare_products(((x, e.denominator),), ((y, e.numerator),), digit_budget)
 
@@ -502,8 +495,8 @@ def _versus(x: Union[int, Form], y: Union[int, Form], e: Fraction, digit_budget:
 @dataclass(frozen=True)
 class _Verdicts:
     """The per-index verdicts of one call, on the forms of terms and
-    denominators (or plain ints). Their exponents are made once, on first
-    use, and not on every row; powers of one base compare exponents."""
+    denominators. Their exponents are made once, on first use, and not on
+    every row; powers of one base compare exponents."""
 
     alpha: Fraction
     k: Optional[Fraction]  # None: the growth check alone

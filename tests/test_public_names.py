@@ -1,0 +1,55 @@
+"""Names that code outside the package depends on.
+
+``seriescert.__all__`` is pinned to an explicit list, so no public name
+goes away unnoticed. The benchmark tracer (``perfbench/tracing.py``)
+wraps layer functions by name; a renamed one would break a traced run
+only when someone starts it, so every name it lists is resolved here.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import seriescert
+
+PUBLIC_NAMES = [
+    "Affine", "AlphaTooSmallError", "BruteForceResult", "CAVEAT", "CONCLUSION",
+    "Certificate", "Convergent", "DEFAULT_DIGIT_BUDGET", "DigitBudgetError", "Enclosure",
+    "EnumerationTooLargeError", "ExactnessError", "Explicit", "ExplicitIndices",
+    "FactorialExponent", "GrowthCheck", "GrowthReport", "HypothesisFailedError",
+    "InconclusiveError", "IndexOutOfRangeError", "InvalidIndexMapError",
+    "InvalidParameterError", "MeasureBound", "MeasureEvidence", "N1Result",
+    "NoTailGuaranteeError", "NotFoundBelowNMaxError", "NotFoundInWindowError", "Ordering",
+    "PolynomialInt", "PowerRecurrence", "SequenceSpec", "SeriesCertError",
+    "SpecMismatchError", "Subseries", "TailShrink", "Witness", "WitnessFailedError",
+    "abs_bracket", "abs_lower_bound", "bound", "brute_force_min", "canonical_dumps",
+    "certificate_obj", "certify", "check_growth", "check_sandwich", "checked_pow",
+    "compare_power", "convergent_range", "denominator_bound_holds", "effective_start",
+    "enclose", "enumerate_brackets", "exponent_form", "find_n1", "has_tail_guarantee",
+    "parse_rational", "partial_sum", "q_growth_holds", "qn_exponent_bound_holds",
+    "rational_from_obj", "rational_obj", "rational_prefix", "refine", "shrink_decreases",
+    "shrink_factor", "shrink_less_than", "spec_fingerprint", "spec_from_obj", "spec_obj",
+    "subseries", "tail_bound", "term", "verify_measure", "witness",
+]
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def test_public_names_are_pinned():
+    assert seriescert.__all__ == PUBLIC_NAMES
+    assert all(hasattr(seriescert, name) for name in PUBLIC_NAMES)
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module in tracing.MODULES:
+        home = importlib.import_module(f"seriescert.{module}")
+        # a wrapped generator may be any function that returns an iterator
+        for name in tracing.FUNCTIONS.get(module, ()) + tracing.GENERATORS.get(module, ()):
+            assert inspect.isfunction(getattr(home, name, None)), f"{module}.{name}"
+        for cls_name, name in tracing.METHODS.get(module, ()):
+            cls = getattr(home, cls_name, None)
+            assert inspect.isfunction(vars(cls).get(name) if cls else None), f"{module}.{name}"

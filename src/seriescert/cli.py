@@ -5,14 +5,11 @@ denominator inequalities), certify (witness certificate JSON), measure
 (polynomial bound evidence JSON), search (exhaustive polynomial report),
 term (decimal expansion of a term or a partial sum).
 
-One parser, built at import, decides which flags each command needs
-(certify, whose --revalidate lifts them, checks its own) and raises
-InvalidParameterError on a usage error; main() maps every failure to the
-JSON error object. The commands call the library's checks, not copies of
-them. analyze walks the window once: one term stream (each a_n read
-once, as a form) and one run of the partial-sum step feed the library's
-per-index predicates. search reads the enumeration once, for its CSV
-rows and its minimum alike.
+The commands call the library's checks, not copies of them. analyze
+walks the window once: one term stream (each a_n read once, as a form)
+and one run of the partial-sum step feed the library's per-index
+predicates. search reads the enumeration once, for its CSV rows and its
+minimum alike.
 
 Exit status contract: 0 all requested checks verified, 1 some check
 failed or stayed inconclusive, 2 invalid input or violated hypothesis.
@@ -38,7 +35,6 @@ from .measure import (
 )
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
-    Ordering,
     SequenceSpec,
     _as_k,
     _as_positive_fraction,
@@ -116,11 +112,11 @@ def _run_analyze(config: argparse.Namespace) -> int:
     all_pass = True
     for n in range(first, last + 1):
         sum_n, a_n, a_next = s(n), a(n), a(n + 1)
-        lower = v.lower_order(a_n, a_next)
-        checks = {"growth": lower is Ordering.GREATER, "q_exp_bound": v.q_exponent_ok(sum_n.q, a_n)}
+        growth, lower = v.lower_holds(a_n, a_next)
+        checks = {"growth": growth, "q_exp_bound": v.q_exponent_ok(sum_n.q, a_n)}
         shrink = TailShrink(n, sum_n.product, a_next, alpha).log10_approx
         if k is not None:
-            checks["sandwich_lower"] = lower is not Ordering.LESS
+            checks["sandwich_lower"] = lower
             checks["sandwich_upper"] = v.upper_holds(a_n, a_next)
             checks["q_growth"] = v.q_growth_ok(sum_n.q, s(n + 1).q)
         row = dict.fromkeys(ANALYZE_COLUMNS, "")

@@ -5,7 +5,7 @@ traps it between two exact rationals. The tail past index m is bounded
 by 2/a_{m+1} whenever the sequence family guarantees at least doubling
 from one term to the next (then the tail is dominated by a geometric
 series with ratio 1/2). That guarantee is a structural property of the
-spec, checked by family-specific induction, never sampled numerically.
+spec (:func:`has_tail_guarantee`), never sampled numerically.
 Such a family has q_m = a_m dividing a_{m+1}, so the enclosure after m
 terms is S_{m+1} -/+ 1/a_{m+1}: two integers over a_{m+1}, no Fraction.
 """

@@ -3,19 +3,15 @@
 The headline object is a symbolic bound base^(-E) with base = H*d*(d+1)
 and E = k*d*(alpha+1)/(alpha-d), valid for every nonzero integer
 polynomial of degree at most d and height at most H once the sequence
-satisfies the two-sided growth sandwich. The bound is never evaluated in
-floating point; comparisons against rationals clear denominators and the
-fractional exponent E = p/s in one integer inequality.
+satisfies the two-sided growth sandwich. A comparison against a rational
+clears its denominator and the fractional exponent E = p/s in one
+integer inequality.
 
 verify_measure confronts the bound with reality: it traps theta in a
 rational interval, pushes the interval through the polynomial with exact
-interval Horner evaluation, and compares the resulting certified lower
-bound for |P(theta)| against base^(-E). A failed comparison only ever
-means the interval is still too wide, so the procedure refines and, if
-the refinement allowance runs out, reports Inconclusive rather than
-asserting a counterexample. The evaluation runs on integers: both ends
-of the enclosure are over D = a_{m+1}, step j of Horner's scheme holds
-numerators over D^j, and only a result becomes a Fraction.
+interval Horner evaluation on integers (:func:`_horner`), and compares
+the resulting certified lower bound for |P(theta)| against base^(-E),
+refining the interval while the comparison is undecided.
 
 brute_force_min is the independent check: it enumerates every candidate
 polynomial and brackets |P(theta)| for each, so tests can confirm that
@@ -189,6 +185,13 @@ def _check_class(d: int, H: int, min_degree: int) -> None:
         raise InvalidParameterError(f"height must be at least 1, got {_decimal(H)}")
 
 
+def _check_above_degree(alpha: Fraction, d: int) -> None:
+    if alpha <= d:
+        raise InvalidParameterError(
+            f"exponent alpha={_decimal(alpha)} must exceed the degree {_decimal(d)}"
+        )
+
+
 def bound(
     d: int,
     H: int,
@@ -199,10 +202,7 @@ def bound(
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_positive_fraction(k, "k")
     _check_class(d, H, 2)
-    if alpha <= d:
-        raise InvalidParameterError(
-            f"exponent alpha={_decimal(alpha)} must exceed the degree {_decimal(d)}"
-        )
+    _check_above_degree(alpha, d)
     if k <= 1:
         raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
     return MeasureBound(
@@ -262,10 +262,7 @@ def find_n1(
     _check_class(d, H, 1)
     if n_max < 1:
         raise InvalidParameterError(f"search cutoff must be >= 1, got {_decimal(n_max)}")
-    if alpha <= d:
-        raise InvalidParameterError(
-            f"exponent alpha={_decimal(alpha)} must exceed the degree {_decimal(d)}"
-        )
+    _check_above_degree(alpha, d)
     threshold = H * d * (d + 1)
     diff = alpha - d
     p, s = diff.numerator, diff.denominator

@@ -358,7 +358,7 @@ class Subseries:
         _check_offset(self.start_offset)
 
 
-SequenceSpec = Union[PowerRecurrence, FactorialExponent, Explicit, Subseries]
+SequenceSpec = PowerRecurrence | FactorialExponent | Explicit | Subseries
 
 
 def _walk(spec: SequenceSpec, n: int, digit_budget: int) -> Form:
@@ -368,27 +368,20 @@ def _walk(spec: SequenceSpec, n: int, digit_budget: int) -> Form:
     not built, so it carries none."""
     if n < 1:
         raise InvalidParameterError(f"term index must be >= 1, got {_decimal(n)}")
+    if not isinstance(spec, SequenceSpec):
+        raise TypeError(f"not a sequence spec: {spec!r}")
     i = n + spec.start_offset - 1
-    # a_i = b**E with b >= 2 has over 3 * budget digits once E > limit;
-    # E >= 2**(i-1) rules out i >= limit.bit_length() + 1 before E is built
+    # a_i = b**(g + offset) with b >= 2 has over 3 * budget digits once
+    # g > limit; g >= 2**(i-1) rules out i >= limit.bit_length() + 1
+    # before g is built
     limit = 10 * digit_budget
     match spec:
         case PowerRecurrence(a1=1):
             return Form(1, 1, digit_budget)
-        case PowerRecurrence(a1=a1, e=e):
-            if i - 1 >= limit.bit_length() or e ** (i - 1) > limit:
-                raise DigitBudgetError(
-                    f"term {_decimal(i)} of the power recurrence exceeds the "
-                    f"{digit_budget}-digit budget"
-                )
-            return Form(a1, e ** (i - 1), digit_budget)
+        case PowerRecurrence(a1=base, e=e):
+            family, offset, exponent = "power recurrence", 0, lambda: e ** (i - 1)
         case FactorialExponent(base=base, offset=offset):
-            if i - 1 >= limit.bit_length() or math.factorial(i) > limit:
-                raise DigitBudgetError(
-                    f"term {_decimal(i)} of the factorial-exponent family exceeds the "
-                    f"{digit_budget}-digit budget"
-                )
-            return Form(base, math.factorial(i) + offset, digit_budget)
+            family, exponent = "factorial-exponent family", lambda: math.factorial(i)
         case Explicit(terms=terms):
             if i > len(terms):
                 raise IndexOutOfRangeError(
@@ -397,7 +390,11 @@ def _walk(spec: SequenceSpec, n: int, digit_budget: int) -> Form:
             return Form(terms[i - 1])
         case Subseries(inner=inner, index_map=index_map):
             return _walk(inner, index_map.apply(i), digit_budget)
-    raise TypeError(f"not a sequence spec: {spec!r}")
+    if i - 1 >= limit.bit_length() or (g := exponent()) > limit:
+        raise DigitBudgetError(
+            f"term {_decimal(i)} of the {family} exceeds the {digit_budget}-digit budget"
+        )
+    return Form(base, g + offset, digit_budget)
 
 
 def exponent_form(
@@ -507,10 +504,12 @@ class _Verdicts:
     q_lift = cached_property(lambda v: v.lift / v.alpha)
     q_cap = cached_property(lambda v: v.k * v.lift)
 
-    def lower_order(self, a_n: Form, a_next: Form) -> Ordering:
-        """a_{n+1} against a_n**(alpha+1): GREATER is the growth hypothesis
-        at n, anything but LESS the lower half of the sandwich."""
-        return _versus(a_next, a_n, self.lift, self.digit_budget)
+    def lower_holds(self, a_n: Form, a_next: Form) -> tuple[bool, bool]:
+        """(growth, sandwich lower) at n, from one comparison of a_{n+1}
+        against a_n**(alpha+1): the growth hypothesis holds when it is
+        greater, the lower half of the sandwich when it is not less."""
+        order = _versus(a_next, a_n, self.lift, self.digit_budget)
+        return order is Ordering.GREATER, order is not Ordering.LESS
 
     def upper_holds(self, a_n: Form, a_next: Form) -> bool:
         """a_{n+1} < a_n**(k*alpha), the upper half of the sandwich."""
@@ -568,12 +567,11 @@ def _window_report(spec: SequenceSpec, v: _Verdicts, first: int, last: int) -> G
     a = term_stream(spec, v.digit_budget)
     checks = []
     for n in range(first, last + 1):
-        lower = v.lower_order(a(n), a(n + 1))
+        growth, lower = v.lower_holds(a(n), a(n + 1))
         if v.k is None:
-            checks.append(GrowthCheck(n, lower is Ordering.GREATER))
+            checks.append(GrowthCheck(n, growth))
         else:
-            upper = v.upper_holds(a(n), a(n + 1))
-            checks.append(GrowthCheck(n, lower is not Ordering.LESS, upper))
+            checks.append(GrowthCheck(n, lower, v.upper_holds(a(n), a(n + 1))))
     # every check holds from just past the last failure on
     start = max((c.n + 1 for c in checks if not c.all_hold()), default=first)
     first_from = start if start <= last else None

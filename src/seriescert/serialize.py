@@ -5,8 +5,7 @@ JSON parsers:
 
 * integers of unbounded size are encoded as decimal strings, never as
   JSON numbers;
-* serialization is deterministic: sorted keys, two-space indent, a
-  single trailing newline.
+* serialization is deterministic (:func:`canonical_dumps`).
 
 Decoding validates shapes and re-runs the spec constructors, so a
 hand-edited file that violates an invariant is rejected instead of
@@ -317,6 +316,11 @@ def parse_rational(
 # ---------------------------------------------------------------------------
 
 
+def _int_at(obj: dict, key: str, name: str) -> int:
+    """The integer a spec or index map spells as the decimal string obj[key]."""
+    return str_to_int(require_key(obj, key, name), key)
+
+
 def _index_map_obj(index_map: IndexMap) -> dict:
     if isinstance(index_map, Affine):
         return {"kind": "affine", "s": int_to_str(index_map.s), "t": int_to_str(index_map.t)}
@@ -327,10 +331,7 @@ def _index_map_from_obj(obj: Any) -> IndexMap:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidParameterError("index map must be an object with a 'kind'")
     if obj["kind"] == "affine":
-        return Affine(
-            s=str_to_int(require_key(obj, "s", "index map"), "s"),
-            t=str_to_int(require_key(obj, "t", "index map"), "t"),
-        )
+        return Affine(_int_at(obj, "s", "index map"), _int_at(obj, "t", "index map"))
     if obj["kind"] == "explicit":
         indices = require_key(obj, "indices", "index map")
         if not isinstance(indices, list):
@@ -365,14 +366,10 @@ def spec_from_obj(obj: Any, depth: int = 0) -> SequenceSpec:
         raise InvalidParameterError("startOffset must be a JSON integer")
     family = obj["family"]
     if family == "power":
-        return PowerRecurrence(
-            a1=str_to_int(require_key(obj, "a1", "spec"), "a1"),
-            e=str_to_int(require_key(obj, "e", "spec"), "e"),
-            start_offset=offset,
-        )
+        return PowerRecurrence(_int_at(obj, "a1", "spec"), _int_at(obj, "e", "spec"), offset)
     if family == "factorialExp":
         return FactorialExponent(
-            base=str_to_int(require_key(obj, "base", "spec"), "base"),
+            base=_int_at(obj, "base", "spec"),
             offset=str_to_int(obj.get("offset", "0"), "offset"),
             start_offset=offset,
         )

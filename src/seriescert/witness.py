@@ -7,11 +7,8 @@ single exact comparison tailBound < q^(-alpha) settles the inequality.
 With alpha = a/s and tailBound = u/v that comparison clears to integers
 as u^s * q^a < v^s.
 
-A certificate bundles verified witnesses for a contiguous index window,
-for an exponent above 2, over a sequence whose growth hypothesis has
-been checked on that window. It records its own finiteness caveat: no
-finite computation can confirm the infinite family of witnesses the
-transcendence criterion ultimately needs.
+A certificate bundles verified witnesses for a contiguous index window
+(:func:`certify`) and records its own finiteness caveat (``CAVEAT``).
 """
 
 from __future__ import annotations

@@ -157,3 +157,19 @@ def test_an_explicit_term_past_the_budget_is_given_not_built():
     for spec, n in ((Explicit((2, big)), 2), (Subseries(Explicit((2, big)), Affine(2)), 1)):
         assert term(spec, n, digit_budget=10) == big
         assert term_form(spec, n, digit_budget=10).digit_budget is None
+
+
+class _Offset:
+    """Not a spec, though it has the start_offset every spec has."""
+
+    start_offset = 1
+
+
+@pytest.mark.parametrize("call", [term, term_form, exponent_form])
+@pytest.mark.parametrize("not_a_spec", [object(), _Offset()])
+def test_a_non_spec_is_refused_as_one(call, not_a_spec):
+    with pytest.raises(TypeError, match="not a sequence spec"):
+        call(not_a_spec, 1)
+    # the index pre-check still comes first
+    with pytest.raises(SeriesCertError, match="term index must be >= 1"):
+        call(not_a_spec, 0)

@@ -289,7 +289,10 @@ def test_verdicts_match_compare_power(alpha, k, budget, r, delta, x, y):
     q_lift, q_cap = (alpha + 1) / alpha, k * (alpha + 1)
     # the same verdicts, on free pairs and on pairs at or next to a tie
     for lo, hi in [(y, x), near(r, lift, delta), near(r, cap, delta)]:
-        assert outcome(v.lower_order, lo, hi) == outcome(compare_power, hi, lo, lift, budget)
+        # (growth, sandwich lower): greater, and not less
+        assert outcome(v.lower_holds, lo, hi) == outcome(
+            lambda: ((o := compare_power(hi, lo, lift, budget)) is Ordering.GREATER,
+                     o is not Ordering.LESS))
         assert outcome(v.upper_holds, lo, hi) == outcome(
             lambda: compare_power(hi, lo, cap, budget) is Ordering.LESS)
     for base, q in [(y, x), near(r, q_lift, delta)]:
@@ -306,7 +309,7 @@ def test_exact_growth_ties(alpha):
     lift = alpha + 1
     a_n, a_next = 6**lift.denominator, 6**lift.numerator
     v = _Verdicts(alpha, Fraction(2), 10**6)
-    assert v.lower_order(a_n, a_next) is Ordering.EQUAL
+    assert v.lower_holds(a_n, a_next) == (False, True)
     assert v.upper_holds(a_n, a_next)
     spec = Explicit((a_n, a_next))
     assert check_growth(spec, alpha, 1, 1).failures() == (1,)

@@ -123,7 +123,9 @@ def test_verdicts_on_forms_match_compare_power(alpha, k, budget, b, c, e1, e2, r
     # each predicate with its exponent e, its oracle on the built values,
     # and whether it takes the x of a tie x = y**e first
     checks = [
-        (v.lower_order, lift, lambda y, x: compare_power(x, y, lift, budget), False),
+        (v.lower_holds, lift,
+         lambda y, x: ((o := compare_power(x, y, lift, budget)) is Ordering.GREATER,
+                       o is not Ordering.LESS), False),
         (v.upper_holds, cap,
          lambda y, x: compare_power(x, y, cap, budget) is Ordering.LESS, False),
         (v.q_exponent_ok, q_lift,

@@ -8,6 +8,8 @@ from seriescert import (
     AlphaTooSmallError,
     CAVEAT,
     CONCLUSION,
+    Convergent,
+    ExactnessError,
     Explicit,
     FactorialExponent,
     HypothesisFailedError,
@@ -100,3 +102,14 @@ def test_certify_surfaces_witness_failure(monkeypatch):
     with pytest.raises(WitnessFailedError) as info:
         certify(P4, A52, 1, 3)
     assert info.value.m == 1
+
+
+def test_certify_refuses_denominators_that_fail_to_increase(monkeypatch):
+    # every partial sum is reduced with q_m = a_m increasing, so the arm is
+    # exercised by pinning each denominator to 2
+    witness_module = importlib.import_module("seriescert.witness")
+    monkeypatch.setattr(
+        witness_module, "partial_sum", lambda spec, m, budget: Convergent(m, 1, 2)
+    )
+    with pytest.raises(ExactnessError, match="denominators failed to increase at m=2"):
+        certify(P4, A52, 1, 3)

@@ -35,6 +35,7 @@ from .sequences import (
     Ordering,
     SequenceSpec,
     _as_positive_fraction,
+    _at_least,
     _bits_check,
     _compare_products,
     _decimal,
@@ -190,8 +191,7 @@ def convergent_range(
     spec: SequenceSpec, last: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Iterator[Convergent]:
     """Yield the convergents for m = 1..last, computed incrementally."""
-    if last < 1:
-        raise InvalidParameterError(f"range end must be >= 1, got {_decimal(last)}")
+    _at_least(last, 1, "range end")
     s = _prefix_sums(spec, digit_budget)
     for m in range(1, last + 1):
         yield s(m).convergent
@@ -201,8 +201,7 @@ def partial_sum(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Convergent:
     """Exact reduced partial sum over terms 1..m (m = 0 gives 0/1)."""
-    if m < 0:
-        raise InvalidParameterError(f"partial sum index must be >= 0, got {_decimal(m)}")
+    _at_least(m, 0, "partial sum index")
     return _prefix_sums(spec, digit_budget)(m).convergent
 
 
@@ -210,8 +209,7 @@ def denominator_bound_holds(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> bool:
     """Exact check q_m <= a_1 a_2 ... a_m."""
-    if m < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {_decimal(m)}")
+    _at_least(m, 1, "index")
     s = _prefix_sums(spec, digit_budget)(m)
     return not s.q > s.product
 
@@ -224,8 +222,7 @@ def shrink_factor(
 ) -> TailShrink:
     """Build (a_1...a_n)^alpha / a_{n+1} in exact form, with the product
     taken from the partial-sum step."""
-    if n < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
+    _at_least(n, 1, "index")
     alpha = _as_positive_fraction(alpha, "alpha")
     product = _prefix_sums(spec, digit_budget)(n).product
     return TailShrink(n, product, term_stream(spec, digit_budget)(n + 1), alpha)

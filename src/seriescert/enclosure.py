@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .convergents import partial_sum
-from .errors import ExactnessError, InvalidParameterError, NoTailGuaranteeError, SpecMismatchError
+from .errors import ExactnessError, NoTailGuaranteeError, SpecMismatchError
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Affine,
@@ -25,6 +25,7 @@ from .sequences import (
     PowerRecurrence,
     SequenceSpec,
     Subseries,
+    _at_least,
     _decimal,
     one_pass,
     term_stream,
@@ -76,8 +77,7 @@ def has_tail_guarantee(spec: SequenceSpec) -> bool:
 def _tail_term(spec: SequenceSpec, m: int, digit_budget: int) -> Form:
     """a_{m+1}, the term the tail bound past index m is over, after the
     checks of the bound: the index, then the family's guarantee."""
-    if m < 0:
-        raise InvalidParameterError(f"index must be >= 0, got {_decimal(m)}")
+    _at_least(m, 0, "index")
     if not has_tail_guarantee(spec):
         raise NoTailGuaranteeError(
             "sequence family offers no doubling guarantee beyond its known terms"

@@ -30,7 +30,6 @@ from .convergents import _prefix_sums, convergent_range, partial_sum
 from .enclosure import Enclosure, enclose, refine, tail_bound
 from .errors import (
     EnumerationTooLargeError,
-    HypothesisFailedError,
     InconclusiveError,
     InvalidParameterError,
     NotFoundBelowNMaxError,
@@ -43,9 +42,11 @@ from .sequences import (
     SequenceSpec,
     _as_k,
     _as_positive_fraction,
+    _at_least,
     _bits_check,
     _compare_products,
     _decimal,
+    _require,
     _Verdicts,
     _window_report,
     one_pass,
@@ -203,8 +204,7 @@ def bound(
     k = _as_positive_fraction(k, "k")
     _check_class(d, H, 2)
     _check_above_degree(alpha, d)
-    if k <= 1:
-        raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
+    k = _as_k(k)
     return MeasureBound(
         degree=d,
         height=H,
@@ -224,8 +224,7 @@ def qn_exponent_bound_holds(
 ) -> bool:
     """Exact check q_n <= a_n^((alpha+1)/alpha)."""
     v = _Verdicts(_as_positive_fraction(alpha, "alpha"), None, digit_budget)
-    if n < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
+    _at_least(n, 1, "index")
     q = partial_sum(spec, n, digit_budget).q
     return v.q_exponent_ok(Form(q), term_stream(spec, digit_budget)(n))
 
@@ -239,8 +238,7 @@ def q_growth_holds(
 ) -> bool:
     """Exact check q_{n+1} < q_n^(k*(alpha+1))."""
     v = _Verdicts(_as_positive_fraction(alpha, "alpha"), _as_k(k), digit_budget)
-    if n < 1:
-        raise InvalidParameterError(f"index must be >= 1, got {_decimal(n)}")
+    _at_least(n, 1, "index")
     s = _prefix_sums(spec, digit_budget)
     return v.q_growth_ok(s(n).q, s(n + 1).q)
 
@@ -260,8 +258,7 @@ def find_n1(
     """
     alpha = _as_positive_fraction(alpha, "alpha")
     _check_class(d, H, 1)
-    if n_max < 1:
-        raise InvalidParameterError(f"search cutoff must be >= 1, got {_decimal(n_max)}")
+    _at_least(n_max, 1, "search cutoff")
     _check_above_degree(alpha, d)
     threshold = H * d * (d + 1)
     diff = alpha - d
@@ -291,14 +288,6 @@ def abs_lower_bound(P: PolynomialInt, enc: Enclosure) -> Fraction:
     """Certified lower bound for |P(theta)|; 0 means inconclusive."""
     (low, _), scale = _abs_scaled(P, enc)
     return lowest_terms(low, scale)
-
-
-def _require_sandwich(spec: SequenceSpec, v: _Verdicts, first: int, last: int) -> None:
-    """The sandwich on first..last; its first failure is a violated hypothesis."""
-    for failed_at in _window_report(spec, v, first, last).failures():
-        raise HypothesisFailedError(
-            f"sandwich hypothesis violated at n={failed_at}", index=failed_at
-        )
 
 
 @one_pass()
@@ -348,7 +337,7 @@ def verify_measure(
     m0 = 1
     while not target.greater_than(4 * tail_bound(spec, m0, digit_budget), digit_budget):
         m0 += 1
-    _require_sandwich(spec, v, 1, m0 + 1)
+    _require(_window_report(spec, v, 1, m0 + 1), "sandwich hypothesis violated")
 
     enc = enclose(spec, m0, digit_budget)
     refinements = 0
@@ -370,7 +359,7 @@ def verify_measure(
         enc = refine(spec, enc, digit_budget)
         refinements += 1
         n = enc.terms_used + 1
-        _require_sandwich(spec, v, n, n)
+        _require(_window_report(spec, v, n, n), "sandwich hypothesis violated")
 
 
 def enumerate_brackets(

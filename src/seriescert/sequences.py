@@ -30,6 +30,7 @@ and read through :func:`term_stream`.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -42,6 +43,7 @@ from typing import Callable, Optional, Union
 from .errors import (
     DigitBudgetError,
     EnumerationTooLargeError,
+    HypothesisFailedError,
     IndexOutOfRangeError,
     InvalidIndexMapError,
     InvalidParameterError,
@@ -78,6 +80,11 @@ def _as_k(value: Union[Fraction, int, str]) -> Fraction:
     if k <= 1:
         raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
     return k
+
+
+def _at_least(value: int, least: int, what: str) -> None:
+    if value < least:
+        raise InvalidParameterError(f"{what} must be >= {least}, got {_decimal(value)}")
 
 
 def _decimal(value) -> str:
@@ -270,7 +277,7 @@ class ExplicitIndices:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(map(operator.index, self.indices)))
         if not self.indices or self.indices[0] < 1:
             raise InvalidIndexMapError("index list must start at an index >= 1")
         for a, b in zip(self.indices, self.indices[1:]):
@@ -287,12 +294,7 @@ class ExplicitIndices:
         return self.indices[n - 1]
 
 
-IndexMap = Union[Affine, ExplicitIndices]
-
-
-def _check_offset(start_offset: int) -> None:
-    if start_offset < 1:
-        raise InvalidParameterError(f"start_offset must be >= 1, got {_decimal(start_offset)}")
+IndexMap = Affine | ExplicitIndices
 
 
 @dataclass(frozen=True)
@@ -309,9 +311,8 @@ class PowerRecurrence:
     def __post_init__(self):
         if self.a1 < 1:
             raise InvalidParameterError(f"a1 must be a positive integer, got {_decimal(self.a1)}")
-        if self.e < 2:
-            raise InvalidParameterError(f"recurrence exponent must be >= 2, got {_decimal(self.e)}")
-        _check_offset(self.start_offset)
+        _at_least(self.e, 2, "recurrence exponent")
+        _at_least(self.start_offset, 1, "start_offset")
 
 
 @dataclass(frozen=True)
@@ -323,11 +324,9 @@ class FactorialExponent:
     start_offset: int = 1
 
     def __post_init__(self):
-        if self.base < 2:
-            raise InvalidParameterError(f"base must be >= 2, got {_decimal(self.base)}")
-        if self.offset < 0:
-            raise InvalidParameterError(f"offset must be >= 0, got {_decimal(self.offset)}")
-        _check_offset(self.start_offset)
+        _at_least(self.base, 2, "base")
+        _at_least(self.offset, 0, "offset")
+        _at_least(self.start_offset, 1, "start_offset")
 
 
 @dataclass(frozen=True)
@@ -338,12 +337,12 @@ class Explicit:
     start_offset: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(int(t) for t in self.terms))
+        object.__setattr__(self, "terms", tuple(map(operator.index, self.terms)))
         if not self.terms:
             raise InvalidParameterError("explicit sequence needs at least one term")
         if any(t < 1 for t in self.terms):
             raise InvalidParameterError("explicit terms must be strictly positive")
-        _check_offset(self.start_offset)
+        _at_least(self.start_offset, 1, "start_offset")
 
 
 @dataclass(frozen=True)
@@ -355,7 +354,9 @@ class Subseries:
     start_offset: int = 1
 
     def __post_init__(self):
-        _check_offset(self.start_offset)
+        if not isinstance(self.index_map, IndexMap):
+            raise InvalidIndexMapError(f"not an index map: {self.index_map!r}")
+        _at_least(self.start_offset, 1, "start_offset")
 
 
 SequenceSpec = PowerRecurrence | FactorialExponent | Explicit | Subseries
@@ -366,8 +367,7 @@ def _walk(spec: SequenceSpec, n: int, digit_budget: int) -> Form:
     :class:`Form`, after the index pre-checks of :func:`term`. A family
     term carries the budget it is built under; an explicit term is given,
     not built, so it carries none."""
-    if n < 1:
-        raise InvalidParameterError(f"term index must be >= 1, got {_decimal(n)}")
+    _at_least(n, 1, "term index")
     if not isinstance(spec, SequenceSpec):
         raise TypeError(f"not a sequence spec: {spec!r}")
     i = n + spec.start_offset - 1
@@ -554,6 +554,12 @@ class GrowthReport:
         return tuple(c.n for c in self.per_index if not c.all_hold())
 
 
+def _require(report: GrowthReport, phrase: str) -> None:
+    """The report's first failure, if any, as a violated hypothesis."""
+    for n in report.failures():
+        raise HypothesisFailedError(f"{phrase} at n={n}", index=n)
+
+
 def _window(first: int, last: int) -> tuple[int, int]:
     if first < 1 or last < first:
         raise InvalidParameterError(
@@ -617,6 +623,4 @@ def subseries(spec: SequenceSpec, index_map: IndexMap) -> Subseries:
     result with :func:`check_growth`; a strictly increasing g guarantees
     c_{n+1}/c_n**(alpha+1) >= a_{g(n)+1}/a_{g(n)}**(alpha+1).
     """
-    if not isinstance(index_map, (Affine, ExplicitIndices)):
-        raise InvalidIndexMapError(f"not an index map: {index_map!r}")
     return Subseries(inner=spec, index_map=index_map)

@@ -20,12 +20,7 @@ from typing import Union
 
 from .convergents import Convergent, partial_sum
 from .enclosure import tail_bound
-from .errors import (
-    AlphaTooSmallError,
-    ExactnessError,
-    HypothesisFailedError,
-    WitnessFailedError,
-)
+from .errors import AlphaTooSmallError, ExactnessError, WitnessFailedError
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Ordering,
@@ -33,6 +28,7 @@ from .sequences import (
     _as_positive_fraction,
     _compare_products,
     _decimal,
+    _require,
     _window,
     check_growth,
     one_pass,
@@ -115,11 +111,7 @@ def certify(
         raise AlphaTooSmallError(
             f"exponent must exceed 2 for the criterion to apply, got {_decimal(alpha)}"
         )
-    growth = check_growth(spec, alpha, first, last, digit_budget)
-    for failed_at in growth.failures():
-        raise HypothesisFailedError(
-            f"growth hypothesis fails at n={failed_at}", index=failed_at
-        )
+    _require(check_growth(spec, alpha, first, last, digit_budget), "growth hypothesis fails")
     witnesses = []
     for m in range(first, last + 1):
         wit = witness(spec, alpha, m, digit_budget)

@@ -3,10 +3,13 @@
 Code nothing calls is deleted: every private module-level function,
 class or constant is referenced somewhere in ``src/`` outside its own
 definition, and every name a module imports (``__init__`` excepted,
-whose imports are the public surface) is used in that module.
+whose imports are the public surface) is used in that module. The code
+lines of the package stay under a recorded ceiling.
 """
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -64,3 +67,41 @@ def test_every_import_is_used(module):
             imported.update(alias.asname or alias.name for alias in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert imported <= read, f"{module} imports {sorted(imported - read)} and never uses them"
+
+
+#: Code lines of src/seriescert/*.py as _code_lines counts them. A change
+#: that adds no capability must not raise this; one that adds a capability
+#: raises it and records the new count and the reason in CHANGES.md.
+CODE_LINE_CEILING = 1668
+
+_STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+_LAYOUT = _STATEMENT_START | {tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def _code_lines(source: str) -> int:
+    """Lines holding code: lines of any token but comments, blanks and
+    layout, where a string that is a statement on its own (a docstring)
+    does not count."""
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
+              if t.type not in (tokenize.COMMENT, tokenize.NL)]
+    lines = set()
+    for prev, tok, nxt in zip([None, *tokens], tokens, [*tokens[1:], None]):
+        docstring = (tok.type == tokenize.STRING and nxt.type == tokenize.NEWLINE
+                     and (prev is None or prev.type in _STATEMENT_START))
+        if tok.type not in _LAYOUT and not docstring:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines)
+
+
+def test_code_lines_stay_under_the_ceiling():
+    count = sum(_code_lines(path.read_text()) for path in MODULES)
+    assert count <= CODE_LINE_CEILING, f"{count} code lines, ceiling {CODE_LINE_CEILING}"
+
+
+@pytest.mark.parametrize("source, count", [
+    ('"""Docstring."""\n\nX = 1  # comment\n', 1),
+    ('def f():\n    """Two\n    lines."""\n    return """not\n    a docstring"""\n', 3),
+    ('class C:\n    "doc"\n    x = (\n        1,\n    )\n', 4),
+])
+def test_code_lines_skip_docstrings_comments_and_blanks(source, count):
+    assert _code_lines(source) == count

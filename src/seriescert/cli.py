@@ -38,6 +38,7 @@ from .sequences import (
     SequenceSpec,
     _as_k,
     _as_positive_fraction,
+    _at_least,
     _Verdicts,
     _window,
     one_pass,
@@ -205,8 +206,7 @@ def _run_search(config: argparse.Namespace) -> int:
         rows = _written(rows, scale, lines)
     result = _minimum(rows, scale)
     if config.csv_path:
-        with open(config.csv_path, "w") as handle:
-            handle.write("".join(lines))
+        _emit("".join(lines), config.csv_path)
     _emit(canonical_dumps(brute_force_obj(result)), config.out)
     return 0
 
@@ -240,6 +240,7 @@ def _run_term(config: argparse.Namespace) -> int:
     if config.m is None:  # the parser requires exactly one of --n and --m
         _emit(int_to_str(term(spec, config.n, budget)) + "\n", config.out)
         return 0
+    _at_least(config.digits, 0, "--digits")
     if config.digits > budget:
         raise DigitBudgetError(f"--digits {config.digits} is beyond the {budget}-digit budget")
     conv = partial_sum(spec, config.m, budget)

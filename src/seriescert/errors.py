@@ -9,10 +9,14 @@ from __future__ import annotations
 
 
 class SeriesCertError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; keyword context (``index``, ``m``) becomes attributes."""
 
     code = "error"
     exit_code = 2
+
+    def __init__(self, message: str, **context):
+        super().__init__(message)
+        vars(self).update(context)
 
 
 class IndexOutOfRangeError(SeriesCertError):
@@ -78,20 +82,12 @@ class HypothesisFailedError(SeriesCertError):
 
     code = "hypothesis-failed"
 
-    def __init__(self, message: str, index: int):
-        super().__init__(message)
-        self.index = index
-
 
 class WitnessFailedError(SeriesCertError):
     """A witness inequality did not verify at some index."""
 
     code = "witness-failed"
     exit_code = 1
-
-    def __init__(self, message: str, m: int):
-        super().__init__(message)
-        self.m = m
 
 
 class InconclusiveError(SeriesCertError):

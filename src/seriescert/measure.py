@@ -74,7 +74,7 @@ class PolynomialInt:
             raise InvalidParameterError("polynomial must be nonzero")
         if any(not isinstance(c, int) for c in trimmed):
             raise InvalidParameterError("coefficients must be integers")
-        object.__setattr__(self, "coeffs", trimmed)
+        object.__setattr__(self, "coeffs", tuple(map(int, trimmed)))
 
     @property
     def degree(self) -> int:
@@ -178,12 +178,8 @@ class BruteForceResult:
 
 
 def _check_class(d: int, H: int, min_degree: int) -> None:
-    if d < min_degree:
-        raise InvalidParameterError(
-            f"degree must be at least {_decimal(min_degree)}, got {_decimal(d)}"
-        )
-    if H < 1:
-        raise InvalidParameterError(f"height must be at least 1, got {_decimal(H)}")
+    _at_least(d, min_degree, "degree")
+    _at_least(H, 1, "height")
 
 
 def _check_above_degree(alpha: Fraction, d: int) -> None:
@@ -273,21 +269,15 @@ def find_n1(
     )
 
 
-def _abs_scaled(P: PolynomialInt, enc: Enclosure) -> tuple[tuple[int, int], int]:
-    """The |P(theta)| bracket for theta in enc, as numerators over a scale."""
-    return _abs_pair(*_horner(P.coeffs, enc.L, enc.U, enc.D)), enc.D**P.degree
-
-
 def abs_bracket(P: PolynomialInt, enc: Enclosure) -> tuple[Fraction, Fraction]:
     """Certified bracket [low, high] for |P(theta)| given theta in enc."""
-    pair, scale = _abs_scaled(P, enc)
+    pair, scale = _abs_pair(*_horner(P.coeffs, enc.L, enc.U, enc.D)), enc.D**P.degree
     return tuple(lowest_terms(v, scale) for v in pair)
 
 
 def abs_lower_bound(P: PolynomialInt, enc: Enclosure) -> Fraction:
     """Certified lower bound for |P(theta)|; 0 means inconclusive."""
-    (low, _), scale = _abs_scaled(P, enc)
-    return lowest_terms(low, scale)
+    return abs_bracket(P, enc)[0]
 
 
 @one_pass()
@@ -319,8 +309,7 @@ def verify_measure(
     """
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_positive_fraction(k, "k")
-    if max_refinements < 0:
-        raise InvalidParameterError("refinement allowance must be >= 0")
+    _at_least(max_refinements, 0, "refinement allowance")
     d = degree if degree is not None else max(2, P.degree)
     if d < P.degree:
         raise InvalidParameterError(

@@ -87,6 +87,12 @@ def _at_least(value: int, least: int, what: str) -> None:
         raise InvalidParameterError(f"{what} must be >= {least}, got {_decimal(value)}")
 
 
+def _store_ints(obj, *fields: str) -> None:
+    """Store each named field of the frozen dataclass obj as ``operator.index``
+    of itself: a float raises TypeError, a bool is stored as 0 or 1."""
+    vars(obj).update({field: operator.index(getattr(obj, field)) for field in fields})
+
+
 def _decimal(value) -> str:
     """``str(value)``, at any size for an int or a Fraction, for error
     messages."""
@@ -259,6 +265,7 @@ class Affine:
     t: int = 0
 
     def __post_init__(self):
+        _store_ints(self, "s", "t")
         if self.s < 1:
             raise InvalidIndexMapError(f"affine stride must be >= 1, got {_decimal(self.s)}")
         if self.s + self.t < 1:
@@ -309,6 +316,7 @@ class PowerRecurrence:
     start_offset: int = 1
 
     def __post_init__(self):
+        _store_ints(self, "a1", "e", "start_offset")
         if self.a1 < 1:
             raise InvalidParameterError(f"a1 must be a positive integer, got {_decimal(self.a1)}")
         _at_least(self.e, 2, "recurrence exponent")
@@ -324,6 +332,7 @@ class FactorialExponent:
     start_offset: int = 1
 
     def __post_init__(self):
+        _store_ints(self, "base", "offset", "start_offset")
         _at_least(self.base, 2, "base")
         _at_least(self.offset, 0, "offset")
         _at_least(self.start_offset, 1, "start_offset")
@@ -338,6 +347,7 @@ class Explicit:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(map(operator.index, self.terms)))
+        _store_ints(self, "start_offset")
         if not self.terms:
             raise InvalidParameterError("explicit sequence needs at least one term")
         if any(t < 1 for t in self.terms):
@@ -354,6 +364,7 @@ class Subseries:
     start_offset: int = 1
 
     def __post_init__(self):
+        _store_ints(self, "start_offset")
         if not isinstance(self.index_map, IndexMap):
             raise InvalidIndexMapError(f"not an index map: {self.index_map!r}")
         _at_least(self.start_offset, 1, "start_offset")

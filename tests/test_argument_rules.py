@@ -1,7 +1,7 @@
 """Argument rules, each stated once: the exact text of every integer
 lower-bound message and of both violated-hypothesis messages, the index
-map's type checked when a subseries is made, and explicit lists that hold
-integers only."""
+map's type checked when a subseries is made, and explicit lists and spec
+scalars that hold integers only."""
 
 from fractions import Fraction
 
@@ -59,6 +59,10 @@ HUGE_TEXT = "-1" + "0" * 4999
     (lambda: find_n1(P4, 3, 2, 1, 0), "search cutoff must be >= 1, got 0"),
     (lambda: bound(2, 1, 5, 1), "k must be > 1, got 1"),
     (lambda: bound(2, 1, 5, Fraction(1, 2)), "k must be > 1, got 1/2"),
+    (lambda: bound(2, 0, 5, 2), "height must be >= 1, got 0"),
+    (lambda: find_n1(P4, 3, 0, 1, 4), "degree must be >= 1, got 0"),
+    (lambda: verify_measure(P4, 4, 2, PolynomialInt((-1, 1, 1)), -1),
+     "refinement allowance must be >= 0, got -1"),
 ])
 def test_lower_bound_messages(call, message):
     with pytest.raises(InvalidParameterError) as info:
@@ -80,7 +84,7 @@ def test_violated_hypothesis_messages(call, message):
 
 
 def test_bound_reports_the_degree_before_k():
-    with pytest.raises(InvalidParameterError, match="^degree must be at least 2, got 1$"):
+    with pytest.raises(InvalidParameterError, match="^degree must be >= 2, got 1$"):
         bound(1, 1, 5, 1)
     with pytest.raises(InvalidParameterError, match="^exponent alpha=2 must exceed the degree 2$"):
         bound(2, 1, 2, 1)
@@ -108,6 +112,29 @@ def test_subseries_checks_the_map_before_the_offset():
 def test_explicit_lists_refuse_non_integers(make, entries):
     with pytest.raises(TypeError):
         make(entries)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PowerRecurrence(2.5, 4),
+    lambda: PowerRecurrence(2, 4.0),
+    lambda: PowerRecurrence(2, 4, start_offset=1.5),
+    lambda: FactorialExponent(2.0),
+    lambda: FactorialExponent(2, 1.0),
+    lambda: FactorialExponent(2, start_offset=1.0),
+    lambda: Explicit((2, 3), start_offset=1.0),
+    lambda: Subseries(P4, Affine(1), start_offset=1.0),
+    lambda: Affine(1.5),
+    lambda: Affine(1, 0.5),
+])
+def test_spec_scalars_refuse_floats_when_made(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_spec_scalars_store_a_bool_as_an_int():
+    spec = PowerRecurrence(True, 4, start_offset=True)
+    assert (type(spec.a1), type(spec.start_offset)) == (int, int)
+    assert type(Affine(True, False).t) is int
 
 
 def test_explicit_lists_take_integer_lists():

@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 
 from seriescert.cli import ANALYZE_COLUMNS, _csv_row, main
 from seriescert.convergents import partial_sum
-from seriescert.serialize import int_to_str, ratio_to_str, spec_from_obj
+from seriescert.sequences import PowerRecurrence
+from seriescert.serialize import (
+    canonical_dumps,
+    certificate_obj,
+    int_to_str,
+    ratio_to_str,
+    spec_from_obj,
+)
+from seriescert.witness import certify
 
 P4_OBJ = {"family": "power", "a1": "2", "e": "4", "startOffset": 1}
 FE_OBJ = {"family": "factorialExp", "base": "2", "offset": "1", "startOffset": 1}
@@ -48,6 +56,14 @@ def test_certify_round_trip_is_byte_identical(p4_path, tmp_path):
     before = out.read_bytes()
     assert main(["certify", "--revalidate", str(out)]) == 0
     assert out.read_bytes() == before
+
+
+def test_a_certificate_made_with_a_bool_offset_revalidates(tmp_path, capsys):
+    cert = certify(PowerRecurrence(2, 4, start_offset=True), "5/2", 1, 2)
+    out = tmp_path / "cert.json"
+    out.write_text(canonical_dumps(certificate_obj(cert)))
+    assert main(["certify", "--revalidate", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"revalidated": True, "witnesses": 2}
 
 
 def test_revalidate_detects_tampering(p4_path, tmp_path, capsys):
@@ -140,6 +156,15 @@ def test_term_with_no_fractional_digits_prints_the_whole_part(obj, m, tmp_path, 
     total = partial_sum(spec_from_obj(obj), m)
     assert main(["term", "--spec", str(path), "--m", str(m), "--digits", "0"]) == 0
     assert capsys.readouterr().out == int_to_str(total.p // total.q) + "\n"
+
+
+def test_term_refuses_negative_digits(p4_path, capsys):
+    assert main(["term", "--spec", p4_path, "--m", "3", "--digits", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "invalid-parameter", "message": "--digits must be >= 0, got -3",
+    }
 
 
 def test_term_requires_one_selector(p4_path, capsys):

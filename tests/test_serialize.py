@@ -15,6 +15,7 @@ from seriescert import (
     ExplicitIndices,
     FactorialExponent,
     InvalidParameterError,
+    PolynomialInt,
     PowerRecurrence,
     Subseries,
     canonical_dumps,
@@ -32,6 +33,7 @@ from seriescert.serialize import (
     _STR_TO_INT_CUTOVER_CHARS,
     decimal_digits,
     int_to_str,
+    polynomial_obj,
     str_to_int,
 )
 
@@ -71,6 +73,13 @@ def test_spec_from_obj_rejects_unknown_family():
         spec_from_obj({"a1": "2"})
     with pytest.raises(InvalidParameterError):
         spec_from_obj({"family": "power", "a1": "2", "e": "4", "startOffset": "1"})
+
+
+def test_a_bool_scalar_is_spelled_as_an_integer():
+    assert spec_obj(PowerRecurrence(True, 4, start_offset=True)) == {
+        "family": "power", "a1": "1", "e": "4", "startOffset": 1,
+    }
+    assert polynomial_obj(PolynomialInt((True, 1))) == {"coeffs": ["1", "1"]}
 
 
 def test_spec_obj_rejects_what_is_not_a_spec():

@@ -4,7 +4,9 @@ Code nothing calls is deleted: every private module-level function,
 class or constant is referenced somewhere in ``src/`` outside its own
 definition, and every name a module imports (``__init__`` excepted,
 whose imports are the public surface) is used in that module. The code
-lines of the package stay under a recorded ceiling.
+lines of the package stay under a recorded ceiling, and every integer
+lower bound an ``InvalidParameterError`` states is spelled by
+``sequences._at_least`` alone.
 """
 
 import ast
@@ -72,7 +74,7 @@ def test_every_import_is_used(module):
 #: Code lines of src/seriescert/*.py as _code_lines counts them. A change
 #: that adds no capability must not raise this; one that adds a capability
 #: raises it and records the new count and the reason in CHANGES.md.
-CODE_LINE_CEILING = 1668
+CODE_LINE_CEILING = 1665
 
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _LAYOUT = _STATEMENT_START | {tokenize.ENCODING, tokenize.ENDMARKER}
@@ -105,3 +107,27 @@ def test_code_lines_stay_under_the_ceiling():
 ])
 def test_code_lines_skip_docstrings_comments_and_blanks(source, count):
     assert _code_lines(source) == count
+
+
+def _literal_text(call: ast.Call) -> str:
+    """The literal text of a call's arguments, f-string pieces included."""
+    return "".join(node.value for arg in call.args for node in ast.walk(arg)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def _lower_bound_raises(nodes) -> list[ast.Call]:
+    """Every InvalidParameterError(...) under nodes whose message spells
+    an integer lower bound."""
+    return [call for node in nodes for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "InvalidParameterError"
+            and any(s in _literal_text(call) for s in ("must be at least", "must be >="))]
+
+
+def test_integer_lower_bounds_are_spelled_once():
+    owner = next(node for node in TREES["sequences.py"].body
+                 if getattr(node, "name", None) == "_at_least")
+    assert _lower_bound_raises([owner]), "the check no longer sees _at_least's own message"
+    spelled = [f"{module}:{call.lineno}" for module, tree in TREES.items()
+               for call in _lower_bound_raises(n for n in tree.body if n is not owner)]
+    assert spelled == [], f"lower bounds spelled outside sequences._at_least: {spelled}"

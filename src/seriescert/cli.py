@@ -341,10 +341,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     JSON error object on stderr, with the exit status of the contract."""
     try:
         config = _PARSER.parse_args(_normalize(sys.argv[1:] if argv is None else argv))
-        if config.digit_budget < 1:
-            raise InvalidParameterError(
-                f"--digit-budget must be a positive integer, got {config.digit_budget}"
-            )
+        _at_least(config.digit_budget, 1, "--digit-budget")
         return config.run(config)
     except SeriesCertError as exc:
         # plus the failing index a HypothesisFailedError (index) or a

@@ -41,7 +41,6 @@ from .sequences import (
     _decimal,
     _odd_part,
     _pass_memo,
-    _times,
     _times_pow,
     _window,
     one_pass,
@@ -124,26 +123,28 @@ _EMPTY = _Sum(0, 0, Form(1), Form(1))
 def _add_term(s: _Sum, a: Form, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> _Sum:
     """The sum step: p/q + 1/a in lowest terms, and the product times a.
 
-    The first step gives 1/a over the product a. If q = b**E0 and
-    a = b**E1 with E1 > E0 (every step along a built-in family, where
-    q_m = a_m), q divides a and the step is the chain step
-    p*b**(E1-E0) + 1 over a, with no gcd and no division: q and the
-    product stay powers of b, q <= product is E1 <= E_1 + ... + E_m, and
-    only the numerator is built, as the power of the odd part o of
-    b = o*2**t and a shift. It is reduced exactly when p, which is 1 mod
-    b, is prime to b: odd if t > 0 (a bit test) and gcd(p mod o, o) = 1
-    if o > 1. Otherwise (explicit terms, a1 = 1) it is Henrici's addition
-    (as in Fraction) on the values: p/q is reduced, so only
-    g = gcd(q, a) can cancel, its factor of two by shifts.
+    The first step gives 1/a over the product a. If q = b**E0, a = b**E1
+    with E1 > E0 and the product is b**P, all of one base b >= 2 (every
+    step along a built-in family, where q_m = a_m), q divides a and the
+    step is the chain step p*b**(E1-E0) + 1 over a, with no gcd and no
+    division: q and the product stay powers of b, the product b**(P+E1),
+    q <= product is E1 <= E_1 + ... + E_m, and only the numerator is
+    built, as the power of the odd part o of b = o*2**t and a shift. It
+    is reduced exactly when p, which is 1 mod b, is prime to b: odd if
+    t > 0 (a bit test) and gcd(p mod o, o) = 1 if o > 1. Otherwise
+    (explicit terms, a1 = 1) it is Henrici's addition (as in Fraction) on
+    the values: p/q is reduced, so only g = gcd(q, a) can cancel, its
+    factor of two by shifts; the product is multiplied by the odd part
+    of a and shifted by its factor of two.
     """
     m, q = s.m + 1, s.q
     if s.p == 0:  # 0/1 + 1/a
         return _Sum(m, 1, a, a)
-    if q.base == a.base >= 2 and a.exp > q.exp:
+    if q.base == a.base == s.product.base >= 2 and a.exp > q.exp:
         b, de = a.base, a.exp - q.exp
         _bits_check(b.bit_length(), de, digit_budget)
         o, t = _odd_part(b)
-        p, q, twos = _times_pow(s.p, b, de) + 1, a, t * a.exp
+        p, q, product = _times_pow(s.p, b, de) + 1, a, Form(b, s.product.exp + a.exp)
         reduced = (t == 0 or p & 1 == 1) and (o == 1 or math.gcd(p % o, o) == 1)
     else:
         # q = qo*2**qt, a = ao*2**twos, g = go*2**gt, p*(a/g) + q/g = to*2**tt,
@@ -155,11 +156,7 @@ def _add_term(s: _Sum, a: Form, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> _Su
         p_odd, q_odd = to // g2, qo // go * (ao // g2)
         p, q = p_odd << tt - shift, q_odd << qt - gt + twos - shift
         reduced = (p & 1 or q & 1) and math.gcd(q_odd, p_odd) == 1
-        q = Form(q)
-    if s.product.base == a.base:  # one power of the base
-        product = Form(a.base, s.product.exp + a.exp)
-    else:
-        product = Form(_times(s.product.value, a.value, twos))
+        q, product = Form(q), Form(s.product.value * ao << twos)
     if not reduced:
         raise ExactnessError(
             f"partial sum at m={m} is not reduced: {_decimal(p)}/{_decimal(q.value)}"

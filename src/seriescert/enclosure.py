@@ -89,7 +89,7 @@ def tail_bound(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Fraction:
     """Certified upper bound 2/a_{m+1} for the tail past index m."""
-    return Fraction(2, _tail_term(spec, m, digit_budget).value)
+    return lowest_terms(2, _tail_term(spec, m, digit_budget).value)
 
 
 @one_pass()
@@ -106,12 +106,17 @@ def enclose(
     return Enclosure(L=s.p - 1, U=s.p + 1, D=s.q, terms_used=m, fingerprint=fingerprint)
 
 
+def _check_spec(spec: SequenceSpec, enc: Enclosure) -> None:
+    """Refuse an enclosure that was not built from spec."""
+    if enc.fingerprint != spec_fingerprint(spec):
+        raise SpecMismatchError("enclosure was built from a different sequence")
+
+
 def refine(
     spec: SequenceSpec, enc: Enclosure, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
     """One more term: a strictly narrower enclosure nested in enc, checked on L, U, D."""
-    if enc.fingerprint != spec_fingerprint(spec):
-        raise SpecMismatchError("enclosure was built from a different sequence")
+    _check_spec(spec, enc)
     better = enclose(spec, enc.terms_used + 1, digit_budget)
     if not (enc.L * better.D <= better.L * enc.D and better.U * enc.D <= enc.U * better.D
             and (better.U - better.L) * enc.D < (enc.U - enc.L) * better.D):

@@ -27,13 +27,12 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
 from .convergents import _prefix_sums, convergent_range, partial_sum
-from .enclosure import Enclosure, enclose, refine, tail_bound
+from .enclosure import Enclosure, _check_spec, enclose, refine, tail_bound
 from .errors import (
     EnumerationTooLargeError,
     InconclusiveError,
     InvalidParameterError,
     NotFoundBelowNMaxError,
-    SpecMismatchError,
 )
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
@@ -52,7 +51,7 @@ from .sequences import (
     one_pass,
     term_stream,
 )
-from .serialize import lowest_terms, spec_fingerprint
+from .serialize import lowest_terms
 
 
 @dataclass(frozen=True)
@@ -376,8 +375,7 @@ def _scaled_brackets(
     integer numerators over the one scale D^d, D = a_{m+1} the denominator
     of the enclosure. Every vector is evaluated untrimmed, at degree d."""
     _check_class(d, H, 1)
-    if spec_fingerprint(spec) != enc.fingerprint:
-        raise SpecMismatchError("enclosure was built from a different sequence")
+    _check_spec(spec, enc)
     base, exp = 2 * H + 1, d + 1
     # the count base**exp - 1 is at least 2**bits - 1: past the cap's bit
     # length (and 64 bits) it exceeds the cap, and is neither built nor spelled

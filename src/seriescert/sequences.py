@@ -144,13 +144,6 @@ def _times_pow(x: int, base: int, exp: int) -> int:
     return (x * odd**exp if odd != 1 else x) << twos * exp
 
 
-def _times(x: int, y: int, twos: int) -> int:
-    """``x * y`` for y >= 1 divisible by 2**twos, twos read from y's
-    exponent form and not scanned: with a_1 = 2**k every term is a power
-    of two, and a product by one is a shift, linear in the operand sizes."""
-    return x * (y >> twos) << twos
-
-
 class Form:
     """The positive integer base**exp, held as the pair, with its exact bit
     length: t*exp + 1 for base = 2**t, that of base for exp = 1, and
@@ -317,8 +310,7 @@ class PowerRecurrence:
 
     def __post_init__(self):
         _store_ints(self, "a1", "e", "start_offset")
-        if self.a1 < 1:
-            raise InvalidParameterError(f"a1 must be a positive integer, got {_decimal(self.a1)}")
+        _at_least(self.a1, 1, "a1")
         _at_least(self.e, 2, "recurrence exponent")
         _at_least(self.start_offset, 1, "start_offset")
 

@@ -77,7 +77,7 @@ def test_non_positive_digit_budget_is_rejected_at_the_cli(argv, write_spec, caps
     budget = argv[-1]
     assert _error(capsys) == {
         "error": "invalid-parameter",
-        "message": f"--digit-budget must be a positive integer, got {budget}",
+        "message": f"--digit-budget must be >= 1, got {budget}",
     }
 
 

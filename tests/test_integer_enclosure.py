@@ -10,6 +10,7 @@ hi = lo + tail_bound(spec, m).
 import dataclasses
 import importlib
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -146,3 +147,13 @@ def test_enclose_and_refine_take_no_gcd_of_two_big_integers(monkeypatch):
     assert max(taken, default=0) <= SMALL_BITS
     # the last enclosure is over a_6, 2**524288
     assert enc.terms_used == 5 and enc.D == 2 ** (512 * 4**5)
+
+
+def test_tail_bound_takes_no_big_gcd(monkeypatch):
+    taken, gcd = [], math.gcd
+    monkeypatch.setattr(math, "gcd", lambda x, y: taken.append(max(x, y).bit_length()) or gcd(x, y))
+    bound = tail_bound(PowerRecurrence(2**512, 4), 4)
+    monkeypatch.undo()
+    assert max(taken, default=0) <= SMALL_BITS
+    # 2/a_5 with a_5 = 2**131072
+    assert bound == Fraction(1, 2 ** (512 * 4**4 - 1))

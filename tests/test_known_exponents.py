@@ -116,10 +116,9 @@ def test_analyze_of_a_power_of_two_builds_only_sum_numerators(monkeypatch, tmp_p
 
     patch_everywhere(monkeypatch, "term", counting("term"))
     patch_everywhere(monkeypatch, "checked_pow", counting("checked_pow"))
-    # every power and every product of values; the chain step builds its
-    # numerator through convergents' own _times_pow, left unwrapped
+    # every power; the chain step builds its numerator through
+    # convergents' own _times_pow, left unwrapped
     monkeypatch.setattr(sequences, "_times_pow", sized(sequences._times_pow, built))
-    monkeypatch.setattr(convergents, "_times", sized(convergents._times, built))
     log10 = math.log10
     monkeypatch.setattr(math, "log10", lambda x: logged.append(x.bit_length()) or log10(x))
     spec = tmp_path / "power.json"
@@ -253,6 +252,21 @@ def test_henrici_step_matches_fraction(p, q, a):
     expected = Convergent(2, total.numerator, total.denominator), value.denominator * a
     s = _add_term(_Sum(1, value.numerator, denominator, denominator), Form(a))
     assert (s.convergent, s.product.value) == expected
+
+
+# the chain step's guard reads the product's base too: q and a powers of
+# one base with a product that is not fall through to the Henrici step, as
+# does a repeated term
+@pytest.mark.parametrize("q, product, a", [
+    (Form(3), Form(6), Form(3, 2)),
+    (Form(2, 3), Form(12), Form(2, 5)),
+    (Form(3), Form(3), Form(3)),
+])
+def test_chain_guard_falls_through_to_the_henrici_step(q, product, a):
+    total = Fraction(1, q.value) + Fraction(1, a.value)
+    s = _add_term(_Sum(1, 1, q, product), a)
+    assert s.convergent == Convergent(2, total.numerator, total.denominator)
+    assert s.product.value == math.prod([product.value, a.value])
 
 
 # ---------------------------------------------------------------------------

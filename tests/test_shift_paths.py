@@ -1,4 +1,4 @@
-"""Powers and products whose factor of two is applied as a shift, and the
+"""Powers whose factor of two is applied as a shift, and the
 digit count that builds a power of ten only next to one.
 
 Terms of a series with a_1 = 2**k are powers of two. Their cost must not
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seriescert import PowerRecurrence, serialize, term
-from seriescert.sequences import Form, _odd_part, _times, checked_pow
+from seriescert.sequences import Form, checked_pow
 from seriescert.serialize import _floor_log10_2, _ten_pow_bounds, decimal_digits, int_to_str
 
 # x = odd * 2**twos, signed, zero included
@@ -27,15 +27,6 @@ factored = st.builds(
 @given(factored, st.integers(0, 40))
 def test_checked_pow_matches_the_power(base, exp):
     assert checked_pow(base, exp, 10**9) == base**exp
-
-
-@settings(max_examples=300, deadline=None)
-@given(factored, factored.filter(lambda y: y > 0))
-def test_times_matches_the_product(x, y):
-    # any known factor of two of y, up to all of it
-    twos = _odd_part(y)[1]
-    for known in {0, twos // 2, twos}:
-        assert _times(x, y, known) == x * y
 
 
 @settings(max_examples=200, deadline=None)

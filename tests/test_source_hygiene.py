@@ -74,7 +74,7 @@ def test_every_import_is_used(module):
 #: Code lines of src/seriescert/*.py as _code_lines counts them. A change
 #: that adds no capability must not raise this; one that adds a capability
 #: raises it and records the new count and the reason in CHANGES.md.
-CODE_LINE_CEILING = 1665
+CODE_LINE_CEILING = 1654
 
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _LAYOUT = _STATEMENT_START | {tokenize.ENCODING, tokenize.ENDMARKER}
@@ -115,13 +115,16 @@ def _literal_text(call: ast.Call) -> str:
                    if isinstance(node, ast.Constant) and isinstance(node.value, str))
 
 
+_LOWER_BOUND_PHRASES = ("must be at least", "must be >=", "must be a positive integer")
+
+
 def _lower_bound_raises(nodes) -> list[ast.Call]:
     """Every InvalidParameterError(...) under nodes whose message spells
     an integer lower bound."""
     return [call for node in nodes for call in ast.walk(node)
             if isinstance(call, ast.Call)
             and getattr(call.func, "id", None) == "InvalidParameterError"
-            and any(s in _literal_text(call) for s in ("must be at least", "must be >="))]
+            and any(s in _literal_text(call) for s in _LOWER_BOUND_PHRASES)]
 
 
 def test_integer_lower_bounds_are_spelled_once():

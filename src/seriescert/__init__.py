@@ -13,7 +13,6 @@ from .convergents import (
     Convergent,
     TailShrink,
     convergent_range,
-    denominator_bound_holds,
     effective_start,
     partial_sum,
     shrink_decreases,
@@ -45,7 +44,6 @@ from .measure import (
     N1Result,
     PolynomialInt,
     abs_bracket,
-    abs_lower_bound,
     bound,
     brute_force_min,
     enumerate_brackets,
@@ -71,7 +69,6 @@ from .sequences import (
     checked_pow,
     compare_power,
     exponent_form,
-    subseries,
     term,
 )
 from .serialize import (

@@ -202,15 +202,6 @@ def partial_sum(
     return _prefix_sums(spec, digit_budget)(m).convergent
 
 
-def denominator_bound_holds(
-    spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> bool:
-    """Exact check q_m <= a_1 a_2 ... a_m."""
-    _at_least(m, 1, "index")
-    s = _prefix_sums(spec, digit_budget)(m)
-    return not s.q > s.product
-
-
 def shrink_factor(
     spec: SequenceSpec,
     alpha: Union[Fraction, int, str],

@@ -50,10 +50,6 @@ class Enclosure:
 
     lo = property(lambda enc: lowest_terms(enc.L, enc.D))
     hi = property(lambda enc: lowest_terms(enc.U, enc.D))
-    width = property(lambda enc: lowest_terms(enc.U - enc.L, enc.D))
-
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
 
 
 def has_tail_guarantee(spec: SequenceSpec) -> bool:

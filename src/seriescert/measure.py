@@ -47,7 +47,7 @@ from .sequences import (
     _decimal,
     _require,
     _Verdicts,
-    _window_report,
+    check_sandwich,
     one_pass,
     term_stream,
 )
@@ -67,12 +67,12 @@ class PolynomialInt:
 
     def __post_init__(self):
         trimmed = tuple(self.coeffs)
+        if any(not isinstance(c, int) for c in trimmed):
+            raise InvalidParameterError("coefficients must be integers")
         while trimmed and trimmed[-1] == 0:
             trimmed = trimmed[:-1]
         if not trimmed:
             raise InvalidParameterError("polynomial must be nonzero")
-        if any(not isinstance(c, int) for c in trimmed):
-            raise InvalidParameterError("coefficients must be integers")
         object.__setattr__(self, "coeffs", tuple(map(int, trimmed)))
 
     @property
@@ -274,11 +274,6 @@ def abs_bracket(P: PolynomialInt, enc: Enclosure) -> tuple[Fraction, Fraction]:
     return tuple(lowest_terms(v, scale) for v in pair)
 
 
-def abs_lower_bound(P: PolynomialInt, enc: Enclosure) -> Fraction:
-    """Certified lower bound for |P(theta)|; 0 means inconclusive."""
-    return abs_bracket(P, enc)[0]
-
-
 @one_pass()
 def verify_measure(
     spec: SequenceSpec,
@@ -320,17 +315,17 @@ def verify_measure(
             f"declared height {_decimal(H)} is smaller than actual height {_decimal(P.height)}"
         )
     target = bound(d, H, alpha, k)
-    v = _Verdicts(alpha, target.k, digit_budget)
 
     m0 = 1
     while not target.greater_than(4 * tail_bound(spec, m0, digit_budget), digit_budget):
         m0 += 1
-    _require(_window_report(spec, v, 1, m0 + 1), "sandwich hypothesis violated")
+    _require(check_sandwich(spec, alpha, target.k, 1, m0 + 1, digit_budget),
+             "sandwich hypothesis violated")
 
     enc = enclose(spec, m0, digit_budget)
     refinements = 0
     while True:
-        low = abs_lower_bound(P, enc)
+        low = abs_bracket(P, enc)[0]
         if target.is_exceeded_by(low, digit_budget):
             return MeasureEvidence(
                 polynomial=P,
@@ -347,7 +342,8 @@ def verify_measure(
         enc = refine(spec, enc, digit_budget)
         refinements += 1
         n = enc.terms_used + 1
-        _require(_window_report(spec, v, n, n), "sandwich hypothesis violated")
+        _require(check_sandwich(spec, alpha, target.k, n, n, digit_budget),
+                 "sandwich hypothesis violated")
 
 
 def enumerate_brackets(

@@ -349,7 +349,12 @@ class Explicit:
 
 @dataclass(frozen=True)
 class Subseries:
-    """c_n = a_{g(n)} for the inner sequence a and index map g."""
+    """c_n = a_{g(n)} for the inner sequence a and index map g.
+
+    Growth inherited from the full sequence can be re-checked on the
+    result with :func:`check_growth`; a strictly increasing g guarantees
+    c_{n+1}/c_n**(alpha+1) >= a_{g(n)+1}/a_{g(n)}**(alpha+1).
+    """
 
     inner: "SequenceSpec"
     index_map: IndexMap
@@ -617,13 +622,3 @@ def check_sandwich(
     k = _as_k(k)
     first, last = _window(first, last)
     return _window_report(spec, _Verdicts(alpha, k, digit_budget), first, last)
-
-
-def subseries(spec: SequenceSpec, index_map: IndexMap) -> Subseries:
-    """Select the subsequence c_n = a_{g(n)}.
-
-    Growth inherited from the full sequence can then be re-checked on the
-    result with :func:`check_growth`; a strictly increasing g guarantees
-    c_{n+1}/c_n**(alpha+1) >= a_{g(n)+1}/a_{g(n)}**(alpha+1).
-    """
-    return Subseries(inner=spec, index_map=index_map)

@@ -162,7 +162,7 @@ def test_criterion_5_randomized_inequality_suite():
         previous = None
         for m in range(1, 4):
             enc = enclose(spec, m)
-            assert enc.width == Fraction(2, term(spec, m + 1))
+            assert enc.hi - enc.lo == Fraction(2, term(spec, m + 1))
             if previous is not None:
                 assert previous.lo <= enc.lo and enc.hi <= previous.hi
             previous = enc

@@ -10,7 +10,6 @@ from seriescert import (
     NotFoundInWindowError,
     PowerRecurrence,
     convergent_range,
-    denominator_bound_holds,
     effective_start,
     partial_sum,
     shrink_decreases,
@@ -18,6 +17,7 @@ from seriescert import (
     shrink_less_than,
     term,
 )
+from seriescert.convergents import _prefix_sums
 
 P4 = PowerRecurrence(2, 4)
 A52 = Fraction(5, 2)
@@ -55,9 +55,11 @@ def test_reverse_fold_matches():
 
 
 def test_denominator_bound():
-    assert denominator_bound_holds(P4, 1)  # 2 <= 2, boundary equality
-    assert denominator_bound_holds(P4, 2)  # 16 <= 32
-    assert denominator_bound_holds(P4, 3)  # 65536 <= 2 * 16 * 65536
+    # q_m <= a_1 ... a_m; the first step returns its sum unchecked
+    s = _prefix_sums(P4)
+    assert not s(1).q > s(1).product  # 2 <= 2, boundary equality
+    assert not s(2).q > s(2).product  # 16 <= 32
+    assert not s(3).q > s(3).product  # 65536 <= 2 * 16 * 65536
 
 
 def test_convergent_range_is_incremental():

@@ -29,7 +29,6 @@ from seriescert import (
     bound,
     check_growth,
     convergent_range,
-    denominator_bound_holds,
     effective_start,
     find_n1,
     parse_rational,
@@ -310,7 +309,6 @@ def test_analyze_takes_an_alpha_beyond_float_range(write_spec, capsys):
     lambda: effective_start(P4, Fraction(5, 2), 1, NINES, 1),
     lambda: next(convergent_range(P4, -NINES)),
     lambda: partial_sum(P4, -NINES),
-    lambda: denominator_bound_holds(P4, -NINES),
     lambda: shrink_factor(P4, 2, -NINES),
     lambda: tail_bound(P4, -NINES),
     lambda: qn_exponent_bound_holds(P4, 2, -NINES),

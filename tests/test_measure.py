@@ -13,7 +13,6 @@ from seriescert import (
     PowerRecurrence,
     SpecMismatchError,
     abs_bracket,
-    abs_lower_bound,
     bound,
     brute_force_min,
     enclose,
@@ -47,9 +46,12 @@ def test_zero_polynomial_rejected():
         PolynomialInt(())
 
 
-def test_non_integer_coefficient_rejected():
+@pytest.mark.parametrize("coeffs", [(1, Fraction(1, 2)), (1, 0.0), (1, 2, Fraction(0)), (0.0,)],
+                         ids=["half", "float-zero-top", "fraction-zero-top", "float-zero-only"])
+def test_non_integer_coefficient_rejected(coeffs):
+    # a zero of another type at the top is refused too, not trimmed away
     with pytest.raises(InvalidParameterError, match="coefficients must be integers"):
-        PolynomialInt((1, Fraction(1, 2)))
+        PolynomialInt(coeffs)
 
 
 def test_evaluate():
@@ -158,13 +160,13 @@ def test_find_n1_requires_alpha_above_degree():
 
 
 def test_abs_lower_bound_monotone_positive():
-    assert abs_lower_bound(PolynomialInt((0, 1)), enclose(P4, 1)) == Fraction(1, 2)
+    assert abs_bracket(PolynomialInt((0, 1)), enclose(P4, 1))[0] == Fraction(1, 2)
 
 
 def test_abs_lower_bound_straddles_zero():
     p = PolynomialInt((-9, 16))
-    assert abs_lower_bound(p, enclose(P4, 2)) == 0
-    assert abs_lower_bound(p, enclose(P4, 3)) == Fraction(1, 4096)
+    assert abs_bracket(p, enclose(P4, 2))[0] == 0
+    assert abs_bracket(p, enclose(P4, 3))[0] == Fraction(1, 4096)
 
 
 def test_abs_bracket_upper():
@@ -178,7 +180,7 @@ def test_abs_lower_bound_is_sound_at_samples():
     enc = enclose(P4, 3)
     for coeffs in [(-1, 1, 1), (1, -1), (0, 0, 1), (-9, 16)]:
         p = PolynomialInt(coeffs)
-        low = abs_lower_bound(p, enc)
+        low = abs_bracket(p, enc)[0]
         for t in (enc.lo, enc.hi, (enc.lo + enc.hi) / 2):
             assert abs(p.evaluate(t)) >= low
 
@@ -222,7 +224,7 @@ def test_verify_measure_never_concludes_false(monkeypatch):
     # force the interval lower bound to stay useless; the verifier must
     # give up with an error instead of reporting a counterexample
     measure_module = importlib.import_module("seriescert.measure")
-    monkeypatch.setattr(measure_module, "abs_lower_bound", lambda P, enc: Fraction(0))
+    monkeypatch.setattr(measure_module, "abs_bracket", lambda P, enc: (Fraction(0), Fraction(1)))
     with pytest.raises(InconclusiveError):
         verify_measure(P4, Fraction(3), K32, PolynomialInt((-1, 1, 1)), 3)
 

@@ -23,14 +23,14 @@ PUBLIC_NAMES = [
     "NoTailGuaranteeError", "NotFoundBelowNMaxError", "NotFoundInWindowError", "Ordering",
     "PolynomialInt", "PowerRecurrence", "SequenceSpec", "SeriesCertError",
     "SpecMismatchError", "Subseries", "TailShrink", "Witness", "WitnessFailedError",
-    "abs_bracket", "abs_lower_bound", "bound", "brute_force_min", "canonical_dumps",
+    "abs_bracket", "bound", "brute_force_min", "canonical_dumps",
     "certificate_obj", "certify", "check_growth", "check_sandwich", "checked_pow",
-    "compare_power", "convergent_range", "denominator_bound_holds", "effective_start",
+    "compare_power", "convergent_range", "effective_start",
     "enclose", "enumerate_brackets", "exponent_form", "find_n1", "has_tail_guarantee",
     "parse_rational", "partial_sum", "q_growth_holds", "qn_exponent_bound_holds",
     "rational_from_obj", "rational_obj", "rational_prefix", "refine", "shrink_decreases",
     "shrink_factor", "shrink_less_than", "spec_fingerprint", "spec_from_obj", "spec_obj",
-    "subseries", "tail_bound", "term", "verify_measure", "witness",
+    "tail_bound", "term", "verify_measure", "witness",
 ]
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

@@ -18,7 +18,6 @@ from seriescert import (
     check_sandwich,
     checked_pow,
     compare_power,
-    subseries,
     term,
 )
 
@@ -56,7 +55,7 @@ def test_explicit_terms_and_exhaustion():
 
 
 def test_subseries_affine_picks_odd_indices():
-    sub = subseries(P4, Affine(2, -1))
+    sub = Subseries(P4, Affine(2, -1))
     assert term(sub, 1) == 2
     assert term(sub, 2) == 65536
     assert term(sub, 3) == 2**256
@@ -64,7 +63,7 @@ def test_subseries_affine_picks_odd_indices():
 
 def test_subseries_wants_an_index_map():
     with pytest.raises(InvalidIndexMapError, match="not an index map"):
-        subseries(P4, (2, 4))
+        Subseries(P4, (2, 4))
 
 
 def test_subseries_explicit_indices():

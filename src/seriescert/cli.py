@@ -199,7 +199,8 @@ def _run_measure(config: argparse.Namespace) -> int:
 def _run_search(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     enc = enclose(spec, config.terms, config.digit_budget)
-    rows, scale = _scaled_brackets(spec, config.degree, config.height, enc, config.enum_cap)
+    rows, scale = _scaled_brackets(spec, config.degree, config.height, enc, config.enum_cap,
+                                   config.digit_budget)
     if config.csv_path:
         header = [f"e{i}" for i in range(config.degree + 1)] + ["abs_lower", "abs_upper"]
         lines = [_csv_row(header)]

@@ -55,19 +55,17 @@ class Enclosure:
 def has_tail_guarantee(spec: SequenceSpec) -> bool:
     """Whether every term is at least double its predecessor, forever.
 
-    Decided by induction on the family. A power recurrence with a1 >= 2
-    multiplies each term by at least itself; a factorial-exponent
-    sequence multiplies the base's power by a growing factorial gap. An
-    explicit list is finite, so nothing can be promised past its end;
-    the same applies to a subseries through a finite index list.
+    Decided by induction on the family, whose constructors hold e >= 2 and
+    base >= 2. A power recurrence with a1 >= 2 multiplies each term by at
+    least itself; a factorial-exponent sequence multiplies the base's power
+    by a growing factorial gap. A finite list, of terms or of indices,
+    promises nothing past its end.
     """
-    if isinstance(spec, PowerRecurrence):
-        return spec.a1 >= 2 and spec.e >= 2
-    if isinstance(spec, FactorialExponent):
-        return spec.base >= 2
     if isinstance(spec, Subseries):
         return isinstance(spec.index_map, Affine) and has_tail_guarantee(spec.inner)
-    return False
+    if isinstance(spec, PowerRecurrence):
+        return spec.a1 >= 2
+    return isinstance(spec, FactorialExponent)
 
 
 def _tail_term(spec: SequenceSpec, m: int, digit_budget: int) -> Form:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .convergents import _prefix_sums, convergent_range, partial_sum
-from .enclosure import Enclosure, _check_spec, enclose, refine, tail_bound
+from .convergents import _prefix_sums, partial_sum
+from .enclosure import Enclosure, _check_spec, enclose, refine
 from .errors import (
     EnumerationTooLargeError,
     InconclusiveError,
@@ -36,7 +36,6 @@ from .errors import (
 )
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
-    Form,
     Ordering,
     SequenceSpec,
     _as_k,
@@ -48,6 +47,7 @@ from .sequences import (
     _require,
     _Verdicts,
     check_sandwich,
+    compare_power,
     one_pass,
     term_stream,
 )
@@ -220,8 +220,8 @@ def qn_exponent_bound_holds(
     """Exact check q_n <= a_n^((alpha+1)/alpha)."""
     v = _Verdicts(_as_positive_fraction(alpha, "alpha"), None, digit_budget)
     _at_least(n, 1, "index")
-    q = partial_sum(spec, n, digit_budget).q
-    return v.q_exponent_ok(Form(q), term_stream(spec, digit_budget)(n))
+    q = _prefix_sums(spec, digit_budget)(n).q
+    return v.q_exponent_ok(q, term_stream(spec, digit_budget)(n))
 
 
 def q_growth_holds(
@@ -238,6 +238,7 @@ def q_growth_holds(
     return v.q_growth_ok(s(n).q, s(n + 1).q)
 
 
+@one_pass()
 def find_n1(
     spec: SequenceSpec,
     alpha: Union[Fraction, int, str],
@@ -255,14 +256,12 @@ def find_n1(
     _check_class(d, H, 1)
     _at_least(n_max, 1, "search cutoff")
     _check_above_degree(alpha, d)
-    threshold = H * d * (d + 1)
-    diff = alpha - d
-    p, s = diff.numerator, diff.denominator
-    _bits_check(threshold.bit_length(), s, digit_budget)
-    for conv in convergent_range(spec, n_max, digit_budget):
-        order = _compare_products(((conv.q, p),), ((threshold, s),), digit_budget)
-        if order is Ordering.GREATER:
-            return N1Result(n1=conv.m, q_at_n1=conv.q, threshold_value=threshold)
+    threshold, e = H * d * (d + 1), 1 / (alpha - d)
+    _bits_check(threshold.bit_length(), e.numerator, digit_budget)
+    for n in range(1, n_max + 1):
+        q = partial_sum(spec, n, digit_budget).q
+        if compare_power(q, threshold, e, digit_budget) is Ordering.GREATER:
+            return N1Result(n1=n, q_at_n1=q, threshold_value=threshold)
     raise NotFoundBelowNMaxError(
         f"no index up to {_decimal(n_max)} clears the threshold {_decimal(threshold)}"
     )
@@ -297,9 +296,9 @@ def verify_measure(
     The outcome is either verified evidence or an exception; a sound
     refinement procedure cannot conclude that the bound fails.
 
-    Each refinement adds one term to the enclosure and checks the
-    sandwich at one more index; within the call each term and each
-    partial sum is built once.
+    The enclosure is refined from m = 1 until 4 times its tail lies below
+    the bound, then once per undecided comparison, with the sandwich checked
+    up to m + 1 each time; each term and each partial sum is built once.
     """
     alpha = _as_positive_fraction(alpha, "alpha")
     k = _as_positive_fraction(k, "k")
@@ -316,15 +315,15 @@ def verify_measure(
         )
     target = bound(d, H, alpha, k)
 
-    m0 = 1
-    while not target.greater_than(4 * tail_bound(spec, m0, digit_budget), digit_budget):
-        m0 += 1
-    _require(check_sandwich(spec, alpha, target.k, 1, m0 + 1, digit_budget),
-             "sandwich hypothesis violated")
-
-    enc = enclose(spec, m0, digit_budget)
-    refinements = 0
+    # 4(U - L)/D is 4 * tail_bound(spec, m): U - L = 2, and enclose checks D = a_{m+1}
+    enc = enclose(spec, 1, digit_budget)
+    while not target.greater_than(lowest_terms(4 * (enc.U - enc.L), enc.D), digit_budget):
+        enc = refine(spec, enc, digit_budget)
+    first, refinements = 1, 0
     while True:
+        n = enc.terms_used + 1
+        _require(check_sandwich(spec, alpha, target.k, first, n, digit_budget),
+                 "sandwich hypothesis violated")
         low = abs_bracket(P, enc)[0]
         if target.is_exceeded_by(low, digit_budget):
             return MeasureEvidence(
@@ -340,10 +339,7 @@ def verify_measure(
                 f"comparison still undecided after {refinements} refinements"
             )
         enc = refine(spec, enc, digit_budget)
-        refinements += 1
-        n = enc.terms_used + 1
-        _require(check_sandwich(spec, alpha, target.k, n, n, digit_budget),
-                 "sandwich hypothesis violated")
+        first, refinements = n + 1, refinements + 1
 
 
 def enumerate_brackets(
@@ -359,17 +355,17 @@ def enumerate_brackets(
 
     The class, the enclosure and the size are checked at the call; the
     brackets are made as they are read."""
-    rows, scale = _scaled_brackets(spec, d, H, enc, enumeration_cap)
+    rows, scale = _scaled_brackets(spec, d, H, enc, enumeration_cap, DEFAULT_DIGIT_BUDGET)
     return ((vec, lowest_terms(low, scale), lowest_terms(high, scale))
             for vec, low, high in rows)
 
 
 def _scaled_brackets(
-    spec: SequenceSpec, d: int, H: int, enc: Enclosure, enumeration_cap: int
+    spec: SequenceSpec, d: int, H: int, enc: Enclosure, enumeration_cap: int, digit_budget: int
 ) -> tuple[Iterator[tuple[tuple[int, ...], int, int]], int]:
-    """(rows, D^d): the rows of enumerate_brackets with each bracket as
-    integer numerators over the one scale D^d, D = a_{m+1} the denominator
-    of the enclosure. Every vector is evaluated untrimmed, at degree d."""
+    """(rows, D^d): the rows of enumerate_brackets as integer numerators over
+    the one scale D^d, D = a_{m+1} the enclosure's denominator, built under
+    the digit budget. Every vector is evaluated untrimmed, at degree d."""
     _check_class(d, H, 1)
     _check_spec(spec, enc)
     base, exp = 2 * H + 1, d + 1
@@ -382,6 +378,7 @@ def _scaled_brackets(
         raise EnumerationTooLargeError(
             f"enumeration of {count} polynomials exceeds the cap {_decimal(enumeration_cap)}"
         )
+    _bits_check(enc.D.bit_length(), d, digit_budget)
     vectors = itertools.product(range(-H, H + 1), repeat=exp)
     rows = ((vec, *_abs_pair(*_horner(vec, enc.L, enc.U, enc.D))) for vec in vectors if any(vec))
     return rows, enc.D**d
@@ -417,4 +414,4 @@ def brute_force_min(
     the ascending enumeration provides for free: the first minimum seen
     wins.
     """
-    return _minimum(*_scaled_brackets(spec, d, H, enc, enumeration_cap))
+    return _minimum(*_scaled_brackets(spec, d, H, enc, enumeration_cap, DEFAULT_DIGIT_BUDGET))

@@ -68,6 +68,9 @@ class Ordering(IntEnum):
 
 
 def _as_positive_fraction(value: Union[Fraction, int, str], name: str) -> Fraction:
+    if isinstance(value, str):  # text as the CLI reads it, under the default budget
+        from .serialize import parse_rational  # serialize imports this module
+        value = parse_rational(value, name)
     f = Fraction(value)
     if f <= 0:
         raise InvalidParameterError(f"{name} must be positive, got {_decimal(f)}")

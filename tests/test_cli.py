@@ -193,6 +193,16 @@ def test_search_enum_cap(p4_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "enumeration-too-large"
 
 
+def test_search_scale_obeys_the_digit_budget(p4_path, capsys):
+    # D = a_3 = 2^16 and D^3 = 2^48 has 15 digits, over a budget of 10
+    code = main(["search", "--spec", p4_path, "--degree", "3", "--height", "1",
+                 "--terms", "2", "--digit-budget", "10"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "digit-budget-exceeded"
+    assert err["message"] == "17-bit base raised to 3 needs about 16 decimal digits; budget is 10"
+
+
 def test_missing_spec_file_is_invalid_input(tmp_path, capsys):
     code = main(["analyze", "--spec", str(tmp_path / "nope.json"),
                  "--alpha", "5/2", "--to", "3"])

@@ -200,6 +200,16 @@ def test_parse_rational_reads_long_integers_and_fractions():
     assert parse_rational(f"1/{LONG}") == Fraction(1, str_to_int(LONG))
 
 
+def test_library_text_rationals_go_through_parse_rational():
+    # Fraction() would build 10**2000000 first, refuse "abc" with a bare
+    # ValueError, and not read a numerator past the 4300-digit limit
+    with pytest.raises(DigitBudgetError, match="alpha has decimal exponent 2000000"):
+        check_growth(P4, "1e2000000", 1, 2)
+    with pytest.raises(InvalidParameterError, match="cannot parse alpha from 'abc'"):
+        check_growth(P4, "abc", 1, 2)
+    assert check_growth(P4, "1" + "0" * 5000 + "/1" + "0" * 4999, 1, 2).alpha == 10
+
+
 def test_long_alpha_reaches_the_growth_check(write_spec, capsys):
     # alpha + 1 = (p + 2)/2 for odd p, so a_1 = 2 is raised to p + 2
     p = LONG[:-1] + "1"

@@ -22,6 +22,7 @@ from seriescert import (
     qn_exponent_bound_holds,
     verify_measure,
 )
+from seriescert import sequences
 
 P4 = PowerRecurrence(2, 4)
 K32 = Fraction(3, 2)
@@ -121,6 +122,17 @@ def test_qn_exponent_bound():
     assert qn_exponent_bound_holds(P4, Fraction(3), 1)
     assert qn_exponent_bound_holds(P4, Fraction(3), 2)
     assert qn_exponent_bound_holds(P4, Fraction(3), 3)
+
+
+def test_qn_exponent_bound_reads_q_as_a_form(monkeypatch):
+    # q_4 = a_4 = b^64 for b = 2^512: the verdict compares exponents, and
+    # no power x * b^E with x = 1 (a term's value) is built
+    built = []
+    times_pow = sequences._times_pow
+    monkeypatch.setattr(sequences, "_times_pow",
+                        lambda x, b, e: built.append(x) or times_pow(x, b, e))
+    assert qn_exponent_bound_holds(PowerRecurrence(2**512, 4), 3, 4)
+    assert 1 not in built
 
 
 def test_q_growth():

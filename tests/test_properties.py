@@ -5,11 +5,16 @@ parameters, not just the handful of worked examples."""
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seriescert import (
     Affine,
+    DigitBudgetError,
+    FactorialExponent,
+    InconclusiveError,
+    NotFoundBelowNMaxError,
     Ordering,
     PowerRecurrence,
     Subseries,
@@ -18,6 +23,7 @@ from seriescert import (
     check_sandwich,
     compare_power,
     enclose,
+    find_n1,
     partial_sum,
     q_growth_holds,
     qn_exponent_bound_holds,
@@ -25,7 +31,9 @@ from seriescert import (
     shrink_factor,
     spec_from_obj,
     spec_obj,
+    tail_bound,
     term,
+    verify_measure,
     witness,
 )
 from seriescert.measure import PolynomialInt
@@ -155,3 +163,61 @@ def test_certified_series_stay_certified_under_subseries(a1, e, s, t):
     sub = Subseries(spec, Affine(s, t))
     sub_cert = certify(sub, alpha, 1, 2)
     assert all(w.verified for w in sub_cert.witnesses)
+
+
+factorial_specs = st.builds(
+    FactorialExponent,
+    st.integers(min_value=2, max_value=5),
+    st.integers(min_value=0, max_value=1),
+    st.integers(min_value=1, max_value=3),
+)
+
+# (spec, alpha, k) inside the sandwich: alpha + 1 = e <= e < k*alpha for
+# a power recurrence, and E_{n+1}/E_n in 5..11 against alpha + 1 = 4 and
+# k*alpha = 12 for a factorial exponent from index 4
+measure_cases = st.one_of(
+    st.builds(lambda spec: (spec, Fraction(spec.e - 1), Fraction(3, 2)), power_specs),
+    st.builds(lambda b, c: (FactorialExponent(b, c, 4), Fraction(3), Fraction(4)),
+              st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=1)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    measure_cases,
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=3).filter(
+        lambda c: any(c)
+    ),
+    st.integers(min_value=1, max_value=10**4),
+)
+def test_verify_measure_starts_at_the_least_tail_below_the_bound(case, coeffs, height):
+    spec, alpha, k = case
+    poly = PolynomialInt(tuple(coeffs))
+    try:
+        ev = verify_measure(spec, alpha, k, poly, 2, height=max(height, poly.height))
+    except (DigitBudgetError, InconclusiveError):
+        assume(False)
+    m = ev.enclosure_used.terms_used - ev.refinements
+    assert ev.bound.greater_than(4 * tail_bound(spec, m))
+    assert m == 1 or not ev.bound.greater_than(4 * tail_bound(spec, m - 1))
+
+
+@given(
+    st.one_of(power_specs, factorial_specs),
+    st.sampled_from(ALPHAS + [Fraction(7, 2), Fraction(13, 3)]),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=10**6),
+)
+def test_find_n1_matches_a_direct_scan(spec, alpha, d, height):
+    assume(alpha > d)
+    p, s = (alpha - d).numerator, (alpha - d).denominator
+    threshold = height * d * (d + 1)
+    expected = next((n for n in range(1, 4)
+                     if naive_pow(partial_sum(spec, n).q, p) > naive_pow(threshold, s)), None)
+    if expected is None:
+        with pytest.raises(NotFoundBelowNMaxError):
+            find_n1(spec, alpha, d, height, 3)
+    else:
+        r = find_n1(spec, alpha, d, height, 3)
+        assert (r.n1, r.q_at_n1, r.threshold_value) == (expected, partial_sum(spec, expected).q,
+                                                        threshold)

@@ -3,7 +3,8 @@
 ``seriescert.__all__`` is pinned to an explicit list, so no public name
 goes away unnoticed. The benchmark tracer (``perfbench/tracing.py``)
 wraps layer functions by name; a renamed one would break a traced run
-only when someone starts it, so every name it lists is resolved here.
+only when someone starts it, so every name it lists is resolved here,
+and so is each module it expects to hold ``partial_sum``.
 """
 
 import importlib
@@ -39,6 +40,15 @@ TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 def test_public_names_are_pinned():
     assert seriescert.__all__ == PUBLIC_NAMES
     assert all(hasattr(seriescert, name) for name in PUBLIC_NAMES)
+
+
+def test_the_tracer_finds_partial_sum_where_it_looks():
+    # the tracer's self-test checks that wrapping convergents.partial_sum
+    # also reaches the modules that imported it
+    from seriescert import convergents, enclosure, measure
+
+    assert measure.partial_sum is convergents.partial_sum
+    assert enclosure.partial_sum is convergents.partial_sum
 
 
 def test_every_name_the_tracer_wraps_resolves():

@@ -5,11 +5,12 @@ denominator inequalities), certify (witness certificate JSON), measure
 (polynomial bound evidence JSON), search (exhaustive polynomial report),
 term (decimal expansion of a term or a partial sum).
 
-The commands call the library's checks, not copies of them. analyze
-walks the window once: one term stream (each a_n read once, as a form)
-and one run of the partial-sum step feed the library's per-index
-predicates. search reads the enumeration once, for its CSV rows and its
-minimum alike.
+The commands call the library's checks and readers, not copies of them:
+--alpha and --k reach the library as text, read under --digit-budget,
+and --revalidate reads a certificate through serialize.certificate_claim.
+analyze walks the window once: one term stream (each a_n read once, as a
+form) and one run of the partial-sum step feed the per-index predicates;
+search reads the enumeration once, for its CSV rows and its minimum.
 
 Exit status contract: 0 all requested checks verified, 1 some check
 failed or stayed inconclusive, 2 invalid input or violated hypothesis.
@@ -48,14 +49,12 @@ from .sequences import (
 from .serialize import (
     brute_force_obj,
     canonical_dumps,
+    certificate_claim,
     certificate_obj,
     decimal_digits,
     evidence_obj,
     int_to_str,
-    parse_rational,
     ratio_to_str,
-    rational_from_obj,
-    require_key,
     spec_from_obj,
     str_to_int,
 )
@@ -104,8 +103,8 @@ def _load_spec(path: str) -> SequenceSpec:
 def _run_analyze(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     budget = config.digit_budget
-    alpha = _as_positive_fraction(parse_rational(config.alpha, "alpha", budget), "alpha")
-    k = _as_k(parse_rational(config.k, "k", budget)) if config.k else None
+    alpha = _as_positive_fraction(config.alpha, "alpha", budget)
+    k = _as_k(config.k, budget) if config.k else None
     first, last = _window(config.first, config.last)
 
     a, s, v = term_stream(spec, budget), _prefix_sums(spec, budget), _Verdicts(alpha, k, budget)
@@ -138,7 +137,14 @@ def _run_analyze(config: argparse.Namespace) -> int:
 
 def _run_certify(config: argparse.Namespace) -> int:
     if config.revalidate:
-        return _run_revalidate(config)
+        with open(config.revalidate) as handle:
+            original = handle.read()
+        spec, alpha, indices = certificate_claim(_decode(original))
+        cert = certify(spec, alpha, min(indices), max(indices), config.digit_budget)
+        if canonical_dumps(certificate_obj(cert)) != original:
+            return _error({"error": "revalidation-mismatch", "path": config.revalidate}, 1)
+        _emit(canonical_dumps({"revalidated": True, "witnesses": len(indices)}), config.out)
+        return 0
     # the one presence rule the parser cannot hold: --revalidate lifts it
     given = (("--spec", config.spec_path), ("--alpha", config.alpha), ("--to", config.last))
     missing = [flag for flag, value in given if value is None]
@@ -147,45 +153,18 @@ def _run_certify(config: argparse.Namespace) -> int:
             f"seriescert certify: the following arguments are required: {', '.join(missing)}"
         )
     spec = _load_spec(config.spec_path)
-    alpha = parse_rational(config.alpha, "alpha", config.digit_budget)
-    cert = certify(spec, alpha, config.first, config.last, config.digit_budget)
+    cert = certify(spec, config.alpha, config.first, config.last, config.digit_budget)
     _emit(canonical_dumps(certificate_obj(cert)), config.out)
-    return 0
-
-
-def _run_revalidate(config: argparse.Namespace) -> int:
-    with open(config.revalidate) as handle:
-        original = handle.read()
-    obj = _decode(original)
-    if not isinstance(obj, dict):
-        raise InvalidParameterError("certificate must be a JSON object")
-    spec = spec_from_obj(require_key(obj, "spec", "certificate"))
-    alpha = rational_from_obj(require_key(obj, "alpha", "certificate"), "alpha")
-    witnesses = require_key(obj, "witnesses", "certificate")
-    if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
-        raise InvalidParameterError("certificate witnesses must be a list of objects")
-    indices = [require_key(w, "m", "witness") for w in witnesses]
-    if not all(type(m) is int for m in indices):
-        raise InvalidParameterError("witness m must be a JSON integer")
-    if not indices:
-        raise InvalidParameterError("certificate has no witnesses to revalidate")
-    cert = certify(spec, alpha, min(indices), max(indices), config.digit_budget)
-    regenerated = canonical_dumps(certificate_obj(cert))
-    if regenerated != original:
-        return _error({"error": "revalidation-mismatch", "path": config.revalidate}, 1)
-    _emit(canonical_dumps({"revalidated": True, "witnesses": len(indices)}), config.out)
     return 0
 
 
 def _run_measure(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
-    alpha = parse_rational(config.alpha, "alpha", config.digit_budget)
-    k = parse_rational(config.k, "k", config.digit_budget)
     poly = PolynomialInt(tuple(str_to_int(c, "coefficient") for c in config.coeffs.split(",")))
     evidence = verify_measure(
         spec,
-        alpha,
-        k,
+        config.alpha,
+        config.k,
         poly,
         max_refinements=config.max_refine,
         digit_budget=config.digit_budget,

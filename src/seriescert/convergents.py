@@ -211,7 +211,7 @@ def shrink_factor(
     """Build (a_1...a_n)^alpha / a_{n+1} in exact form, with the product
     taken from the partial-sum step."""
     _at_least(n, 1, "index")
-    alpha = _as_positive_fraction(alpha, "alpha")
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
     product = _prefix_sums(spec, digit_budget)(n).product
     return TailShrink(n, product, term_stream(spec, digit_budget)(n + 1), alpha)
 
@@ -227,7 +227,7 @@ def shrink_less_than(
     power and cleared of denominators: the answer is the integer
     comparison product^p * v^s < u^s * next^s.
     """
-    r = _as_positive_fraction(r, "threshold")
+    r = _as_positive_fraction(r, "threshold", digit_budget)
     p, s = ts.alpha.numerator, ts.alpha.denominator
     u, v = r.numerator, r.denominator
     lhs, rhs = ((ts.product_form, p), (v, s)), ((u, s), (ts.next_form, s))
@@ -268,8 +268,8 @@ def effective_start(
     below the threshold it stays below on any window where the growth
     hypothesis keeps holding, so the returned index is a valid cutoff.
     """
-    alpha = _as_positive_fraction(alpha, "alpha")
-    theta_upper = _as_positive_fraction(theta_upper, "theta_upper")
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
+    theta_upper = _as_positive_fraction(theta_upper, "theta_upper", digit_budget)
     first, last = _window(first, last)
     threshold = 1 / (1 + theta_upper)
     for m in range(first, last + 1):

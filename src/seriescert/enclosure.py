@@ -90,14 +90,13 @@ def tail_bound(
 def enclose(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Enclosure:
-    """Enclosure S_{m+1} -/+ 1/a_{m+1} of the first m terms. The checks of
-    tail_bound come first, and a_{m+1} is read before the sum's terms."""
-    fingerprint = spec_fingerprint(spec)
+    """Enclosure S_{m+1} -/+ 1/a_{m+1} of the first m terms: tail_bound's
+    checks first, a_{m+1} before the sum's terms, the fingerprint last."""
     a = _tail_term(spec, m, digit_budget)
     s = partial_sum(spec, m + 1, digit_budget)
     if s.q != a.value:
         raise ExactnessError(f"partial sum S_{_decimal(m + 1)} is not over a_{_decimal(m + 1)}")
-    return Enclosure(L=s.p - 1, U=s.p + 1, D=s.q, terms_used=m, fingerprint=fingerprint)
+    return Enclosure(s.p - 1, s.p + 1, s.q, terms_used=m, fingerprint=spec_fingerprint(spec))
 
 
 def _check_spec(spec: SequenceSpec, enc: Enclosure) -> None:

@@ -195,11 +195,11 @@ def bound(
     k: Union[Fraction, int, str],
 ) -> MeasureBound:
     """Symbolic measure bound (H*d*(d+1))^(-k*d*(alpha+1)/(alpha-d))."""
-    alpha = _as_positive_fraction(alpha, "alpha")
-    k = _as_positive_fraction(k, "k")
+    alpha = _as_positive_fraction(alpha, "alpha", DEFAULT_DIGIT_BUDGET)
+    k = _as_positive_fraction(k, "k", DEFAULT_DIGIT_BUDGET)
     _check_class(d, H, 2)
     _check_above_degree(alpha, d)
-    k = _as_k(k)
+    k = _as_k(k, DEFAULT_DIGIT_BUDGET)
     return MeasureBound(
         degree=d,
         height=H,
@@ -218,7 +218,7 @@ def qn_exponent_bound_holds(
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> bool:
     """Exact check q_n <= a_n^((alpha+1)/alpha)."""
-    v = _Verdicts(_as_positive_fraction(alpha, "alpha"), None, digit_budget)
+    v = _Verdicts(_as_positive_fraction(alpha, "alpha", digit_budget), None, digit_budget)
     _at_least(n, 1, "index")
     q = _prefix_sums(spec, digit_budget)(n).q
     return v.q_exponent_ok(q, term_stream(spec, digit_budget)(n))
@@ -232,7 +232,8 @@ def q_growth_holds(
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> bool:
     """Exact check q_{n+1} < q_n^(k*(alpha+1))."""
-    v = _Verdicts(_as_positive_fraction(alpha, "alpha"), _as_k(k), digit_budget)
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
+    v = _Verdicts(alpha, _as_k(k, digit_budget), digit_budget)
     _at_least(n, 1, "index")
     s = _prefix_sums(spec, digit_budget)
     return v.q_growth_ok(s(n).q, s(n + 1).q)
@@ -252,7 +253,7 @@ def find_n1(
     Equality does not qualify; the inequality the downstream argument
     needs is strict.
     """
-    alpha = _as_positive_fraction(alpha, "alpha")
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
     _check_class(d, H, 1)
     _at_least(n_max, 1, "search cutoff")
     _check_above_degree(alpha, d)
@@ -300,8 +301,8 @@ def verify_measure(
     the bound, then once per undecided comparison, with the sandwich checked
     up to m + 1 each time; each term and each partial sum is built once.
     """
-    alpha = _as_positive_fraction(alpha, "alpha")
-    k = _as_positive_fraction(k, "k")
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
+    k = _as_positive_fraction(k, "k", digit_budget)
     _at_least(max_refinements, 0, "refinement allowance")
     d = degree if degree is not None else max(2, P.degree)
     if d < P.degree:

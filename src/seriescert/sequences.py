@@ -67,19 +67,21 @@ class Ordering(IntEnum):
     GREATER = 1
 
 
-def _as_positive_fraction(value: Union[Fraction, int, str], name: str) -> Fraction:
-    if isinstance(value, str):  # text as the CLI reads it, under the default budget
+def _as_positive_fraction(
+    value: Union[Fraction, int, str], name: str, digit_budget: int
+) -> Fraction:
+    if isinstance(value, str):  # text, read under the caller's budget
         from .serialize import parse_rational  # serialize imports this module
-        value = parse_rational(value, name)
+        value = parse_rational(value, name, digit_budget)
     f = Fraction(value)
     if f <= 0:
         raise InvalidParameterError(f"{name} must be positive, got {_decimal(f)}")
     return f
 
 
-def _as_k(value: Union[Fraction, int, str]) -> Fraction:
+def _as_k(value: Union[Fraction, int, str], digit_budget: int) -> Fraction:
     """The sandwich ratio k, which must exceed 1."""
-    k = _as_positive_fraction(value, "k")
+    k = _as_positive_fraction(value, "k", digit_budget)
     if k <= 1:
         raise InvalidParameterError(f"k must be > 1, got {_decimal(k)}")
     return k
@@ -492,7 +494,8 @@ def compare_power(
     """
     if x < 1 or y < 1:
         raise InvalidParameterError("compare_power needs positive integers")
-    return _versus(Form(x), Form(y), _as_positive_fraction(e, "exponent"), digit_budget)
+    e = _as_positive_fraction(e, "exponent", digit_budget)
+    return _versus(Form(x), Form(y), e, digit_budget)
 
 
 def _versus(x: Form, y: Form, e: Fraction, digit_budget: int) -> Ordering:
@@ -603,7 +606,7 @@ def check_growth(
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> GrowthReport:
     """Check a_{n+1} > a_n**(alpha+1) (strict) for every n in first..last."""
-    alpha = _as_positive_fraction(alpha, "alpha")
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
     first, last = _window(first, last)
     return _window_report(spec, _Verdicts(alpha, None, digit_budget), first, last)
 
@@ -621,7 +624,7 @@ def check_sandwich(
     The lower inequality is non-strict and the upper strict; both are
     required by the measure bound.
     """
-    alpha = _as_positive_fraction(alpha, "alpha")
-    k = _as_k(k)
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
+    k = _as_k(k, digit_budget)
     first, last = _window(first, last)
     return _window_report(spec, _Verdicts(alpha, k, digit_budget), first, last)

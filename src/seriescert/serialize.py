@@ -435,6 +435,24 @@ def certificate_obj(cert) -> dict:
     }
 
 
+def certificate_claim(obj: Any) -> tuple[SequenceSpec, Fraction, list[int]]:
+    """(spec, alpha, witness indices) of a decoded certificate, its shape
+    checked key by key; the witnesses are replayed from these alone."""
+    if not isinstance(obj, dict):
+        raise InvalidParameterError("certificate must be a JSON object")
+    spec = spec_from_obj(require_key(obj, "spec", "certificate"))
+    alpha = rational_from_obj(require_key(obj, "alpha", "certificate"), "alpha")
+    witnesses = require_key(obj, "witnesses", "certificate")
+    if not isinstance(witnesses, list) or not all(isinstance(w, dict) for w in witnesses):
+        raise InvalidParameterError("certificate witnesses must be a list of objects")
+    indices = [require_key(w, "m", "witness") for w in witnesses]
+    if not all(type(m) is int for m in indices):
+        raise InvalidParameterError("witness m must be a JSON integer")
+    if not indices:
+        raise InvalidParameterError("certificate has no witnesses to revalidate")
+    return spec, alpha, indices
+
+
 def polynomial_obj(poly) -> dict:
     return {"coeffs": [int_to_str(c) for c in poly.coeffs]}
 

@@ -72,7 +72,7 @@ def witness(
     A failed comparison is a result (verified=False), not an error; the
     inequality is meaningful for any positive exponent.
     """
-    alpha = _as_positive_fraction(alpha, "alpha")
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
     conv = partial_sum(spec, m, digit_budget)
     bound = tail_bound(spec, m, digit_budget)
     a, s = alpha.numerator, alpha.denominator
@@ -105,7 +105,7 @@ def certify(
     when some index does not verify. Within the call each term and each
     partial sum is built once.
     """
-    alpha = _as_positive_fraction(alpha, "alpha")
+    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
     first, last = _window(first, last)
     if alpha <= 2:
         raise AlphaTooSmallError(

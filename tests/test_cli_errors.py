@@ -95,3 +95,19 @@ def test_long_values_in_library_messages():
     poly = PolynomialInt((BIG, 1))
     with pytest.raises(InvalidParameterError, match=r"actual height 10{5000}$"):
         verify_measure(PowerRecurrence(2, 4), 3, Fraction(3, 2), poly, height=1)
+
+
+@pytest.mark.parametrize(
+    "alpha, k, coeffs, message",
+    [
+        ("abc", "xyz", "1,q", "coefficient is not a decimal string: 'q'"),
+        ("-3", "xyz", "1,1,1", "alpha must be positive, got -3"),
+        ("abc", "-2", "1,1,1", "cannot parse alpha from 'abc'"),
+        ("3", "xyz", "0,0", "polynomial must be nonzero"),
+    ],
+)
+def test_measure_reads_coefficients_then_alpha_then_k(alpha, k, coeffs, message, p4, capsys):
+    # --alpha and --k reach verify_measure as text, so the coefficients,
+    # read first to build the polynomial, report their fault first
+    argv = ["measure", "--spec", p4, "--alpha", alpha, "--k", k, "--coeffs", coeffs]
+    assert error_of(capsys, argv) == (2, {"error": "invalid-parameter", "message": message})

@@ -27,7 +27,10 @@ from seriescert import (
     SeriesCertError,
     Subseries,
     bound,
+    certify,
     check_growth,
+    check_sandwich,
+    compare_power,
     convergent_range,
     effective_start,
     find_n1,
@@ -36,12 +39,15 @@ from seriescert import (
     q_growth_holds,
     qn_exponent_bound_holds,
     shrink_factor,
+    shrink_less_than,
     spec_from_obj,
     tail_bound,
     term,
+    verify_measure,
+    witness,
 )
 from seriescert.cli import main
-from seriescert.sequences import MAX_TERMS
+from seriescert.sequences import MAX_TERMS, _as_positive_fraction
 from seriescert.serialize import MAX_SPEC_DEPTH, int_to_str, str_to_int
 
 P4_OBJ = {"family": "power", "a1": "2", "e": "4"}
@@ -208,6 +214,54 @@ def test_library_text_rationals_go_through_parse_rational():
     with pytest.raises(InvalidParameterError, match="cannot parse alpha from 'abc'"):
         check_growth(P4, "abc", 1, 2)
     assert check_growth(P4, "1" + "0" * 5000 + "/1" + "0" * 4999, 1, 2).alpha == 10
+
+
+# Each public reader of a text rational, as (what it names the text, the
+# call on the text at a 1000-digit budget).
+BUDGETED_READERS = [
+    ("alpha", lambda t: check_growth(P4, t, 1, 2, digit_budget=1000)),
+    ("alpha", lambda t: check_sandwich(P4, t, 2, 1, 2, 1000)),
+    ("k", lambda t: check_sandwich(P4, 3, t, 1, 2, 1000)),
+    ("exponent", lambda t: compare_power(2, 3, t, 1000)),
+    ("alpha", lambda t: shrink_factor(P4, t, 1, 1000)),
+    ("threshold", lambda t: shrink_less_than(shrink_factor(P4, 3, 1), t, 1000)),
+    ("alpha", lambda t: effective_start(P4, t, 1, 1, 2, 1000)),
+    ("theta_upper", lambda t: effective_start(P4, 3, t, 1, 2, 1000)),
+    ("alpha", lambda t: witness(P4, t, 1, 1000)),
+    ("alpha", lambda t: certify(P4, t, 1, 2, 1000)),
+    ("alpha", lambda t: qn_exponent_bound_holds(P4, t, 1, 1000)),
+    ("alpha", lambda t: q_growth_holds(P4, t, 2, 1, 1000)),
+    ("k", lambda t: q_growth_holds(P4, 3, t, 1, 1000)),
+    ("alpha", lambda t: find_n1(P4, t, 2, 1, 5, 1000)),
+    ("alpha", lambda t: verify_measure(P4, t, 2, PolynomialInt((1, 1)), digit_budget=1000)),
+    ("k", lambda t: verify_measure(P4, 3, t, PolynomialInt((1, 1)), digit_budget=1000)),
+]
+
+
+@pytest.mark.parametrize("name, read", BUDGETED_READERS)
+def test_text_is_read_under_the_call_s_own_budget(name, read):
+    # under the default budget, "1e900000" builds 10**900000 and fails
+    # later, in a comparison, with a message of about 1.8 million characters
+    with pytest.raises(DigitBudgetError) as exc:
+        read("1e900000")
+    assert str(exc.value) == f"{name} has decimal exponent 900000, beyond the 1000-digit budget"
+
+
+def _outcome(read):
+    """read(), or (class, message) of the SeriesCertError it raises."""
+    try:
+        return read()
+    except SeriesCertError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("budget", [1, 50, 10**6])
+@pytest.mark.parametrize("text", RATIONAL_TEXTS)
+def test_text_reads_as_parse_rational_then_the_sign_check(text, budget):
+    expected = _outcome(lambda: parse_rational(text, "alpha", budget))
+    if isinstance(expected, Fraction) and expected <= 0:
+        expected = InvalidParameterError, f"alpha must be positive, got {expected}"
+    assert _outcome(lambda: _as_positive_fraction(text, "alpha", budget)) == expected
 
 
 def test_long_alpha_reaches_the_growth_check(write_spec, capsys):

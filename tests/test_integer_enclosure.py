@@ -135,6 +135,22 @@ def test_enclose_keeps_the_checks_of_tail_bound_and_their_order():
             enclose(spec, -1)
 
 
+def test_enclose_refuses_before_it_fingerprints(monkeypatch):
+    # the fingerprint spells every term of the spec in decimal, here the
+    # 954,243 digits of 3**2000000; a refused enclosure spells none
+    serialize = importlib.import_module("seriescert.serialize")
+    spelled, int_to_str = [], serialize.int_to_str
+    monkeypatch.setattr(serialize, "int_to_str",
+                        lambda n: spelled.append(n.bit_length()) or int_to_str(n))
+    with pytest.raises(NoTailGuaranteeError):
+        enclose(Explicit((2, 3**2000000)), 1)
+    assert spelled == []
+    # what is no spec at all has no tail guarantee either, as in tail_bound
+    for call in (enclose, tail_bound):
+        with pytest.raises(NoTailGuaranteeError):
+            call(object(), 1)
+
+
 def test_enclose_and_refine_take_no_gcd_of_two_big_integers(monkeypatch):
     spec = PowerRecurrence(2**512, 4)
     taken, gcd = [], math.gcd

@@ -8,9 +8,10 @@ for a recorded reason, where a name ``src/`` defines twice counts as
 read only in the function recorded for it; and every name a module
 imports (``__init__`` excepted, whose imports are the public surface) is
 used in that module.
-The code lines of the package stay under a recorded ceiling, and every
+The code lines of the package stay under a recorded ceiling, every
 integer lower bound an ``InvalidParameterError`` states is spelled by
-``sequences._at_least`` alone.
+``sequences._at_least`` alone, and no call in ``src/`` falls back on the
+default digit budget.
 """
 
 import ast
@@ -191,7 +192,7 @@ def test_a_shared_name_is_read_where_recorded(qualified, reader):
 #: Code lines of src/seriescert/*.py as _code_lines counts them. A change
 #: that adds no capability must not raise this; one that adds a capability
 #: raises it and records the new count and the reason in CHANGES.md.
-CODE_LINE_CEILING = 1638
+CODE_LINE_CEILING = 1635
 
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _LAYOUT = _STATEMENT_START | {tokenize.ENCODING, tokenize.ENDMARKER}
@@ -251,3 +252,59 @@ def test_integer_lower_bounds_are_spelled_once():
     spelled = [f"{module}:{call.lineno}" for module, tree in TREES.items()
                for call in _lower_bound_raises(n for n in tree.body if n is not owner)]
     assert spelled == [], f"lower bounds spelled outside sequences._at_least: {spelled}"
+
+
+def _budget_positions(trees) -> dict[str, set[int]]:
+    """name -> positions of the digit_budget parameter (self not counted)
+    of every function or method under trees whose digit_budget defaults
+    to DEFAULT_DIGIT_BUDGET."""
+    positions = {}
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        params, defaults = node.args.args, node.args.defaults
+        for at, default in enumerate(defaults, start=len(params) - len(defaults)):
+            if (params[at].arg == "digit_budget"
+                    and getattr(default, "id", "") == "DEFAULT_DIGIT_BUDGET"):
+                positions.setdefault(node.name, set()).add(at - (params[0].arg == "self"))
+    return positions
+
+
+def _budgetless_calls(trees) -> list[str]:
+    """module:line name of every call under trees, of a function
+    _budget_positions lists, that passes no budget by position or keyword."""
+    positions, found = _budget_positions(trees), []
+    for module, tree in trees.items():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if any(k.arg == "digit_budget" for k in call.keywords):
+                continue
+            if any(len(call.args) <= at for at in positions.get(name, ())):
+                found.append(f"{module}:{call.lineno} {name}")
+    return found
+
+
+def test_every_call_passes_its_budget():
+    assert _budget_positions(TREES), "the check no longer finds a budgeted function"
+    assert _budgetless_calls(TREES) == []
+
+
+BUDGET_CALLS = """
+DEFAULT_DIGIT_BUDGET = 10
+def parse(text, name="x", digit_budget=DEFAULT_DIGIT_BUDGET): pass
+def form(base, digit_budget=None): pass
+class Bound:
+    def versus(self, value, digit_budget=DEFAULT_DIGIT_BUDGET): pass
+def use(b, budget):
+    parse("1", "a")
+    parse("1", "a", budget)
+    parse("1", digit_budget=budget)
+    b.versus(1)
+    b.versus(1, budget)
+    form(2)
+"""
+
+
+def test_a_call_without_its_budget_is_found():
+    trees = {"m.py": ast.parse(BUDGET_CALLS)}
+    assert _budgetless_calls(trees) == ["m.py:8 parse", "m.py:11 versus"]

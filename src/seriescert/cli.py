@@ -104,7 +104,7 @@ def _run_analyze(config: argparse.Namespace) -> int:
     spec = _load_spec(config.spec_path)
     budget = config.digit_budget
     alpha = _as_positive_fraction(config.alpha, "alpha", budget)
-    k = _as_k(config.k, budget) if config.k else None
+    k = _as_k(config.k, budget) if config.k is not None else None
     first, last = _window(config.first, config.last)
 
     a, s, v = term_stream(spec, budget), _prefix_sums(spec, budget), _Verdicts(alpha, k, budget)
@@ -180,11 +180,12 @@ def _run_search(config: argparse.Namespace) -> int:
     enc = enclose(spec, config.terms, config.digit_budget)
     rows, scale = _scaled_brackets(spec, config.degree, config.height, enc, config.enum_cap,
                                    config.digit_budget)
-    if config.csv_path:
-        header = [f"e{i}" for i in range(config.degree + 1)] + ["abs_lower", "abs_upper"]
-        lines = [_csv_row(header)]
-        rows = _written(rows, scale, lines)
-    result = _minimum(rows, scale)
+    with one_pass():  # the rows' cells share one table of powers, each value spelled once
+        if config.csv_path:
+            header = [f"e{i}" for i in range(config.degree + 1)] + ["abs_lower", "abs_upper"]
+            lines = [_csv_row(header)]
+            rows = _written(rows, scale, lines)
+        result = _minimum(rows, scale)
     if config.csv_path:
         _emit("".join(lines), config.csv_path)
     _emit(canonical_dumps(brute_force_obj(result)), config.out)

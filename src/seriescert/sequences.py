@@ -443,9 +443,9 @@ _PASS: ContextVar[Optional[dict]] = ContextVar("seriescert_pass", default=None)
 
 @contextmanager
 def one_pass():
-    """Within the block (as ``@one_pass()``: one public call) the terms and
-    partial sums of a spec are each built once, whichever helper asks for
-    them; an inner pass joins the outer."""
+    """Within the block (``@one_pass()``: one public call or artifact) the
+    terms and partial sums of a spec and ``int_to_str``'s powers and spellings
+    are each built once, by whichever helper; an inner pass joins the outer."""
     token = _PASS.set({}) if _PASS.get() is None else None
     try:
         yield

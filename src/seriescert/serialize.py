@@ -20,7 +20,9 @@ import math
 import numbers
 import re
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
+from functools import partial
 from typing import Any, NamedTuple, Union
 
 from .errors import DigitBudgetError, InvalidParameterError
@@ -36,6 +38,8 @@ from .sequences import (
     SequenceSpec,
     Subseries,
     _odd_part,
+    _pass_memo,
+    one_pass,
 )
 
 # Below these sizes the builtin conversions are used. CPython refuses
@@ -48,6 +52,8 @@ from .sequences import (
 # conquer times one exact Decimal power of two.
 _INT_TO_STR_CUTOVER_BITS = 2048  # 2**2048 < 10**617
 _STR_TO_INT_CUTOVER_CHARS = 640
+# the context of the Decimal conversion: every operation exact, or it raises
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 
 #: Deepest ``subseries`` nesting a decoded spec may have. The helpers that
 #: walk a spec (hashing, encoding, term lookup) recurse once per level, and
@@ -59,63 +65,55 @@ MAX_SPEC_DEPTH = 100
 _INT_SYNTAX = re.compile(r"[^\S\x1c-\x1f]*([+-]?)(\d+(?:_\d+)*)[^\S\x1c-\x1f]*")
 
 
-def _power_table(base, leaf: int):
-    """``w -> base**w``, memoized together with the powers it was built
-    from: one power up to ``leaf``, above it one more factor on
-    ``base**(w - 1)`` when that is known, else the product of the powers
-    of the two halves, the smaller half first so that the larger one can
-    take the one-factor step. ``base`` is an int or, inside an exact
-    decimal context, a Decimal."""
-    mem = {}
+def _power(mem: dict, base, leaf: int, w: int):
+    """``base**w``, kept in ``mem`` together with the powers it was built
+    from: one power up to ``leaf``; above it one more factor on
+    ``base**(w - 1)`` when ``mem`` holds it, else the square of
+    ``base**(w >> 1)``, times ``base`` when ``w`` is odd. So the exponents
+    ``E, E - 1, 4E, 4E - 1`` lie on each other's halving chains. ``base``
+    is an int or, inside the exact decimal context, a Decimal."""
+    if (result := mem.get(w)) is None:
+        if w <= leaf:
+            result = base**w
+        elif w - 1 in mem:
+            result = mem[w - 1] * base
+        else:
+            result = _power(mem, base, leaf, w >> 1) ** 2 * base ** (w & 1)
+        mem[w] = result
+    return result
 
-    def power(w):
-        if (result := mem.get(w)) is None:
-            if w <= leaf:
-                result = base**w
-            elif w - 1 in mem:
-                result = mem[w - 1] * base
-            else:
-                w2 = w >> 1
-                result = power(w2) * power(w - w2)
-            mem[w] = result
-        return result
 
-    return power
+def _to_decimal(n: int, w: int, pow2) -> Decimal:
+    """``n < 2**w`` as a Decimal, inside the exact decimal context: the
+    halves at ``w >> 1`` joined by ``pow2(w >> 1)`` (port of CPython
+    3.12's ``_pylong.int_to_decimal_string``, gh-90716)."""
+    if w <= _INT_TO_STR_CUTOVER_BITS:
+        return Decimal(n)
+    w2 = w >> 1
+    hi = n >> w2
+    lo = n - (hi << w2)
+    return _to_decimal(lo, w2, pow2) + _to_decimal(hi, w - w2, pow2) * pow2(w2)
 
 
 def int_to_str(value: int) -> str:
     """Decimal string of an arbitrary-size integer, equal to ``str(value)``.
 
     Above the cut-over, ``value = m * 2**t`` with ``m`` odd is spelled as
-    ``m`` through a divide-and-conquer conversion (port of CPython 3.12's
-    ``_pylong.int_to_decimal_string``, gh-90716) times one exact Decimal
-    power ``Decimal(2)**t``. Both are subquadratic, and neither reads or is
-    subject to the interpreter's int/str digit limit.
+    ``m`` through a divide-and-conquer conversion (``_to_decimal``) times
+    the exact Decimal ``2**t``: both subquadratic, neither subject to the
+    int/str digit limit. The values of one pass (``one_pass``: one artifact)
+    share one table of powers of two built along ``w -> w >> 1``, and each
+    is spelled once; the top squaring of the largest power is what remains.
     """
     if value.bit_length() <= _INT_TO_STR_CUTOVER_BITS:
         return str(value)
-    import decimal
-
-    D = decimal.Decimal
-    BITLIM = _INT_TO_STR_CUTOVER_BITS
-    D2 = D(2)
-    w2pow = _power_table(D2, BITLIM)
-
-    def inner(n, w):
-        if w <= BITLIM:
-            return D(n)
-        w2 = w >> 1
-        hi = n >> w2
-        lo = n - (hi << w2)
-        return inner(lo, w2) + inner(hi, w - w2) * w2pow(w2)
-
+    spelled = _pass_memo(("int_to_str",), dict)
     odd, twos = _odd_part(abs(value))
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.Emin = decimal.MIN_EMIN
-        ctx.traps[decimal.Inexact] = 1
-        text = str(inner(odd, odd.bit_length()) * D2**twos)
+    if (text := spelled.get((odd, twos))) is None:
+        # the pass holds the table; no cycle through a closure outlives it
+        pow2 = partial(_power, _pass_memo(("2**w",), dict), Decimal(2), _INT_TO_STR_CUTOVER_BITS)
+        with localcontext(_EXACT):
+            text = spelled[odd, twos] = str(_to_decimal(odd, odd.bit_length(), pow2) * pow2(twos))
     return "-" + text if value < 0 else text
 
 
@@ -123,11 +121,10 @@ def _digits_to_int(digits: str) -> int:
     """Value of a string of decimal digits (port of CPython 3.12's
     ``_pylong._str_to_int_inner``, gh-90716): split in halves, combine
     with one multiplication by a memoized power of 5 and a shift."""
-    DIGLIM = _STR_TO_INT_CUTOVER_CHARS
-    w5pow = _power_table(5, DIGLIM)
+    w5pow = partial(_power, {}, 5, _STR_TO_INT_CUTOVER_CHARS)
 
     def inner(a, b):
-        if b - a <= DIGLIM:
+        if b - a <= _STR_TO_INT_CUTOVER_CHARS:
             return int(digits[a:b])
         mid = (a + b + 1) >> 1
         return inner(mid, b) + ((inner(a, mid) * w5pow(b - mid)) << (b - mid))
@@ -422,6 +419,7 @@ def witness_obj(wit) -> dict:
     }
 
 
+@one_pass()
 def certificate_obj(cert) -> dict:
     return {
         "version": 1,
@@ -472,6 +470,7 @@ def measure_bound_obj(b) -> dict:
     }
 
 
+@one_pass()
 def evidence_obj(ev) -> dict:
     return {
         "version": 1,

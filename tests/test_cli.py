@@ -1,9 +1,11 @@
 import csv
+import gc
 import hashlib
 import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 
 from seriescert.cli import ANALYZE_COLUMNS, _csv_row, main
 from seriescert.convergents import partial_sum
-from seriescert.sequences import PowerRecurrence
+from seriescert.measure import PolynomialInt, verify_measure
+from seriescert.sequences import _PASS, PowerRecurrence
 from seriescert.serialize import (
     canonical_dumps,
     certificate_obj,
+    evidence_obj,
     int_to_str,
     ratio_to_str,
     spec_from_obj,
@@ -257,6 +261,46 @@ def test_search_csv_with_brackets_past_the_digit_limit(tmp_path, fresh_interpret
     data = rows.read_bytes()
     assert max(len(cell) for cell in data.split(b",")) > 4300
     assert hashlib.sha256(data).hexdigest() == P512_SEARCH_CSV_SHA256
+
+
+def test_no_pass_outlives_an_artifact(tmp_path):
+    # the table of powers and the spelled values live as long as one
+    # artifact: none is left open after it, and a second call in the same
+    # process writes the same bytes as the first
+    spec = PowerRecurrence(2**512, 4)
+    certificate_obj(certify(spec, "5/2", 1, 3, 10**6))
+    assert _PASS.get() is None
+    evidence_obj(verify_measure(spec, 3, "3/2", PolynomialInt((-1, 1, 1)), digit_budget=10**6))
+    assert _PASS.get() is None
+    path = tmp_path / "p512.json"
+    path.write_text(json.dumps(P512_OBJ))
+    written = []
+    for argv in (["search", "--spec", str(path), "--degree", "2", "--height", "1",
+                  "--terms", "2", "--csv", str(tmp_path / "rows.csv")],
+                 ["certify", "--spec", str(path), "--alpha", "5/2", "--to", "3"]) * 2:
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert _PASS.get() is None
+        written.append([(tmp_path / name).read_bytes() for name in ("rows.csv", "out.json")])
+    assert written[:2] == written[2:]
+
+
+def test_an_artifact_keeps_no_powers_alive():
+    # with the cyclic collector off, nothing that spelled a certificate
+    # (its table of powers, the spellings) stays allocated once it returns;
+    # a reference cycle through a recursive closure would keep the table
+    cert = certify(PowerRecurrence(2**512, 4), "5/2", 1, 5, 10**6)
+    certificate_obj(cert)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certificate_obj(cert)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # the table behind the 158k-digit tail bound takes over 100 KB
+    assert held < 8192
 
 
 def _power(**extra):

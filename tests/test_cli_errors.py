@@ -111,3 +111,14 @@ def test_measure_reads_coefficients_then_alpha_then_k(alpha, k, coeffs, message,
     # read first to build the polynomial, report their fault first
     argv = ["measure", "--spec", p4, "--alpha", alpha, "--k", k, "--coeffs", coeffs]
     assert error_of(capsys, argv) == (2, {"error": "invalid-parameter", "message": message})
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--spec", "@", "--alpha", "5/2", "--to", "2"],
+    ["measure", "--spec", "@", "--alpha", "3", "--coeffs", "-1,1,1"],
+])
+def test_an_empty_k_is_refused(command, p4, capsys):
+    # an empty --k is given, not absent: analyze reads it as measure does
+    argv = [p4 if arg == "@" else arg for arg in command] + ["--k", ""]
+    assert error_of(capsys, argv) == (2, {"error": "invalid-parameter",
+                                          "message": "cannot parse k from ''"})

@@ -28,6 +28,7 @@ from seriescert import (
     spec_from_obj,
     spec_obj,
 )
+from seriescert.sequences import one_pass
 from seriescert.serialize import (
     _INT_TO_STR_CUTOVER_BITS,
     _STR_TO_INT_CUTOVER_CHARS,
@@ -234,6 +235,33 @@ def test_int_codec_at_two_to_the_twenty_bits():
     assert spelled[0] != "0"
     with builtin_oracle():
         assert int(spelled) == power
+
+
+@st.composite
+def spelled_in_one_artifact(draw):
+    """A sequence of values as one artifact spells them: 2**w beside its
+    neighbours on the certificate chain (w +- 1, 4w, 4w - 1), an odd
+    multiple of a power of two, values of 2,048 and 2,049 bits on both
+    sides of the cut-over, negatives and repeats."""
+    w = draw(st.integers(CUT - 1, 6_000))
+    odd = random.Random(draw(st.integers(0, 2**32))).getrandbits(12_000) | 1
+    pool = [2**w, 2 ** (w - 1), 2 ** (w + 1), 2 ** (4 * w), 2 ** (4 * w - 1),
+            odd << draw(st.integers(0, 4 * w)), 2 ** (CUT - 1) | odd % 2 ** (CUT - 1),
+            2**CUT | odd % 2**CUT, 2**CUT - 1, 2**CUT]
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), max_size=16))
+    return [-v if negative else v for v, negative in picks]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spelled_in_one_artifact())
+def test_int_to_str_in_one_pass_equals_str(values):
+    with builtin_oracle():
+        expected = [str(v) for v in values]
+    alone = [int_to_str(v) for v in values]
+    with one_pass():
+        shared = [int_to_str(v) for v in values]
+    assert shared == alone == expected
+    assert [str_to_int(text) for text in expected] == values
 
 
 @settings(max_examples=60, deadline=None)

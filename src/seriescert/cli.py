@@ -54,6 +54,7 @@ from .serialize import (
     decimal_digits,
     evidence_obj,
     int_to_str,
+    lowest_terms,
     ratio_to_str,
     spec_from_obj,
     str_to_int,
@@ -202,7 +203,7 @@ def _csv_row(cells) -> str:
 def _written(rows, scale, lines):
     """The rows, each appended to lines as a CSV row as it passes."""
     for vec, low, high in rows:
-        lines.append(_csv_row([*vec, ratio_to_str(low, scale), ratio_to_str(high, scale)]))
+        lines.append(_csv_row([*vec, *(ratio_to_str(lowest_terms(v, scale)) for v in (low, high))]))
         yield vec, low, high
 
 

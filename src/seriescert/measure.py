@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -176,9 +177,13 @@ class BruteForceResult:
     count: int
 
 
-def _check_class(d: int, H: int, min_degree: int) -> None:
+def _check_class(d: int, H: int, min_degree: int) -> tuple[int, int]:
+    """(d, H) read with ``operator.index``, as the spec scalars are: a float
+    raises TypeError, a bool is read as 0 or 1."""
+    d, H = operator.index(d), operator.index(H)
     _at_least(d, min_degree, "degree")
     _at_least(H, 1, "height")
+    return d, H
 
 
 def _check_above_degree(alpha: Fraction, d: int) -> None:
@@ -197,7 +202,7 @@ def bound(
     """Symbolic measure bound (H*d*(d+1))^(-k*d*(alpha+1)/(alpha-d))."""
     alpha = _as_positive_fraction(alpha, "alpha", DEFAULT_DIGIT_BUDGET)
     k = _as_positive_fraction(k, "k", DEFAULT_DIGIT_BUDGET)
-    _check_class(d, H, 2)
+    d, H = _check_class(d, H, 2)
     _check_above_degree(alpha, d)
     k = _as_k(k, DEFAULT_DIGIT_BUDGET)
     return MeasureBound(
@@ -254,7 +259,7 @@ def find_n1(
     needs is strict.
     """
     alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
-    _check_class(d, H, 1)
+    d, H = _check_class(d, H, 1)
     _at_least(n_max, 1, "search cutoff")
     _check_above_degree(alpha, d)
     threshold, e = H * d * (d + 1), 1 / (alpha - d)
@@ -367,7 +372,7 @@ def _scaled_brackets(
     """(rows, D^d): the rows of enumerate_brackets as integer numerators over
     the one scale D^d, D = a_{m+1} the enclosure's denominator, built under
     the digit budget. Every vector is evaluated untrimmed, at degree d."""
-    _check_class(d, H, 1)
+    d, H = _check_class(d, H, 1)
     _check_spec(spec, enc)
     base, exp = 2 * H + 1, d + 1
     # the count base**exp - 1 is at least 2**bits - 1: past the cap's bit

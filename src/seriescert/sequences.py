@@ -104,7 +104,7 @@ def _decimal(value) -> str:
     from .serialize import int_to_str, ratio_to_str  # serialize imports this module
 
     if isinstance(value, Fraction):
-        return ratio_to_str(value.numerator, value.denominator)
+        return ratio_to_str(value)
     return int_to_str(value) if isinstance(value, int) else str(value)
 
 

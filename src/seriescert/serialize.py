@@ -117,19 +117,14 @@ def int_to_str(value: int) -> str:
     return "-" + text if value < 0 else text
 
 
-def _digits_to_int(digits: str) -> int:
+def _digits_to_int(digits: str, pow5) -> int:
     """Value of a string of decimal digits (port of CPython 3.12's
     ``_pylong._str_to_int_inner``, gh-90716): split in halves, combine
-    with one multiplication by a memoized power of 5 and a shift."""
-    w5pow = partial(_power, {}, 5, _STR_TO_INT_CUTOVER_CHARS)
-
-    def inner(a, b):
-        if b - a <= _STR_TO_INT_CUTOVER_CHARS:
-            return int(digits[a:b])
-        mid = (a + b + 1) >> 1
-        return inner(mid, b) + ((inner(a, mid) * w5pow(b - mid)) << (b - mid))
-
-    return inner(0, len(digits))
+    with one multiplication by ``pow5(w) = 5**w`` and a shift."""
+    if len(digits) <= _STR_TO_INT_CUTOVER_CHARS:
+        return int(digits)
+    w = len(digits) >> 1
+    return (_digits_to_int(digits[:-w], pow5) * pow5(w) << w) + _digits_to_int(digits[-w:], pow5)
 
 
 def str_to_int(text: str, name: str = "integer") -> int:
@@ -146,7 +141,9 @@ def str_to_int(text: str, name: str = "integer") -> int:
     if match is None:
         raise InvalidParameterError(f"{name} is not a decimal string: {text[:40]!r}...")
     sign, digits = match.groups()
-    value = _digits_to_int(digits.replace("_", ""))
+    # the call holds its table of powers of 5; no cycle through a closure outlives it
+    pow5 = partial(_power, {}, 5, _STR_TO_INT_CUTOVER_CHARS)
+    value = _digits_to_int(digits.replace("_", ""), pow5)
     return -value if sign == "-" else value
 
 
@@ -248,11 +245,10 @@ def lowest_terms(n: int, d: int) -> Fraction:
     return Fraction(_Reduced(n_odd // g << n_twos - shift, d_odd // g << d_twos - shift))
 
 
-def ratio_to_str(n: int, d: int) -> str:
-    """``str(Fraction(n, d))`` ("p/q", or "p" for an integer) for d > 0, at
-    any size."""
-    ratio = lowest_terms(n, d)
-    p, q = ratio.numerator, ratio.denominator
+def ratio_to_str(value: Fraction) -> str:
+    """``str(value)`` ("p/q", or "p" for an integer) at any size: a Fraction
+    is in lowest terms already, so no gcd is taken."""
+    p, q = value.numerator, value.denominator
     return int_to_str(p) if q == 1 else f"{int_to_str(p)}/{int_to_str(q)}"
 
 
@@ -268,44 +264,41 @@ def rational_from_obj(obj: Any, name: str = "rational") -> Fraction:
     return Fraction(num, den)
 
 
-# the integer and p/q forms of Fraction(text); digit groups with
-# underscores are left to Fraction, which accepts them from Python 3.11
-_RATIONAL_SYNTAX = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
-# the exponent of a decimal form such as "1.5e3", whose power of ten
-# Fraction() builds
-_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?(\d[\d_]*)\s*\Z")
+# Fraction(text)'s grammar (Python 3.11): sign, whole digits, then "/" and the
+# denominator, or "." and the places and "e" and the exponent; "_" between
+# digits, Unicode whitespace (\x1c-\x1f included) at either end
+_RATIONAL_SYNTAX = re.compile(r"\s*([+-]?)(?=\.?\d)(\d+(?:_\d+)*)?(?:/(\d+(?:_\d+)*)"
+                              r"|(?:\.(\d+(?:_\d+)*)?)?(?:[eE]([+-]?\d+(?:_\d+)*))?)\s*")
 
 
 def parse_rational(
     text: str, name: str = "rational", digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Fraction:
-    """Parse "p/q" or "p" into an exact Fraction, with no limit on the
-    digits; every other form Fraction() accepts ("0.25", "1e3") too.
+    """Parse what Fraction(text) accepts ("5/2", "-1.5e3", ".5", "1_000.")
+    into an exact Fraction, each run of digits read by str_to_int, so at
+    any int/str digit limit.
 
     A decimal exponent beyond the digit budget raises DigitBudgetError
-    before Fraction() builds 10**exponent: ten characters, "1e99999999",
-    spell a power of ten with 10**8 digits.
+    before 10**exponent is built: ten characters, "1e99999999", spell a
+    power of ten with 10**8 digits. The places are not checked: the power
+    of ten they build grows with the text, as a numerator does.
     """
     match = _RATIONAL_SYNTAX.fullmatch(text)
+    if match is None:
+        raise InvalidParameterError(f"cannot parse {name} from {text!r}")
+    sign, whole, den, places, exp = match.groups("")
+    power = str_to_int(exp or "0", name)
+    if abs(power) > digit_budget:
+        raise DigitBudgetError(
+            f"{name} has decimal exponent {int_to_str(abs(power))}, beyond the "
+            f"{digit_budget}-digit budget"
+        )
+    shift = power - len(places.replace("_", ""))
+    num = str_to_int(sign + whole + places, name) * 10 ** max(shift, 0)
     try:
-        if match is None:
-            exponent = _DECIMAL_EXPONENT.search(text)
-            if exponent is not None:
-                # the same spelling with every exponent digit 0 has the
-                # same syntax, and Fraction() checks it without the power
-                start, end = exponent.span(1)
-                Fraction(text[:start] + re.sub(r"\d", "0", text[start:end]) + text[end:])
-                power = str_to_int(exponent.group(1), name)
-                if power > digit_budget:
-                    raise DigitBudgetError(
-                        f"{name} has decimal exponent {int_to_str(power)}, beyond the "
-                        f"{digit_budget}-digit budget"
-                    )
-            return Fraction(text)
-        num, den = match.groups()
-        return Fraction(str_to_int(num, name), str_to_int(den or "1", name))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameterError(f"cannot parse {name} from {text!r}") from exc
+        return Fraction(num, str_to_int(den or "1", name) * 10 ** max(-shift, 0))
+    except ZeroDivisionError:
+        raise InvalidParameterError(f"cannot parse {name} from {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from seriescert.serialize import (
     certificate_obj,
     evidence_obj,
     int_to_str,
+    lowest_terms,
     ratio_to_str,
     spec_from_obj,
 )
@@ -406,7 +407,8 @@ ANALYZE_ROWS = st.tuples(
     st.sampled_from(["pass", "fail", ""]),
 )
 SEARCH_ROWS = st.builds(
-    lambda vec, low, high, scale: [*vec, ratio_to_str(low, scale), ratio_to_str(high, scale)],
+    lambda vec, low, high, scale: [*vec, *(ratio_to_str(lowest_terms(v, scale))
+                                           for v in (low, high))],
     st.lists(st.integers(-50, 50), min_size=2, max_size=5), st.integers(0, 10**40),
     st.integers(0, 10**40), st.integers(1, 10**40),
 )

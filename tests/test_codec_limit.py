@@ -1,5 +1,6 @@
 """int_to_str equals str() whatever the interpreter's int/str digit limit,
-and str_to_int reads its text back.
+str_to_int reads its text back, and parse_rational reads a long rational
+text as Fraction(text) does with the limit lifted.
 
 Neither conversion reads the limit: up to the cut-overs the builtins are
 called only on sizes that every setting of the limit allows, and past
@@ -17,11 +18,13 @@ canonical form and reads back as the value through str_to_int. A decimal
 integer has one canonical spelling, so that text is str(value).
 """
 
+import contextlib
 import hashlib
 import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -45,32 +48,49 @@ for t in (LOW - 1, LOW, LOW + 1, CUT - 1, CUT + 1, 527_359, 3_300_000):
     k = t * 30103 // 100000  # 10**k has about t bits
     values += [10**k + d for d in (-1, 0, 1)]
 values += [-v for v in values]
+# rational texts whose digit runs pass every limit: parse_rational reads each
+# run through str_to_int
+run = "".join(rng.choices("0123456789", k=4999)) + "7"
+grouped = "_".join(run[i:i + 7] for i in range(0, len(run), 7))
+rationals = [f"0.{run}", f"{run}/{run[::-1]}", f"{run[:2500]}.{run[2500:]}",
+             f"{grouped}.{grouped}E-37", f" 1_0.{grouped}e+12\x1c", f".{run}e0{run[:3]}"]
+rationals += ["-" + text.lstrip() for text in rationals]
 """
 
 SCRIPT = VALUES + """
 import hashlib, json, sys
-from seriescert.serialize import int_to_str, str_to_int
+from seriescert.serialize import int_to_str, parse_rational, str_to_int
 read_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # none before 3.11
 limit = read_limit()
 texts = [int_to_str(v) for v in values]
 digests = [hashlib.sha256(text.encode()).hexdigest() for text in texts]
 unread = [i for i, (v, text) in enumerate(zip(values, texts)) if str_to_int(text) != v]
-print(json.dumps({"unchanged": read_limit() == limit, "digests": digests, "unread": unread}))
+read = [parse_rational(text) for text in rationals]
+read = [int_to_str(r.numerator) + "/" + int_to_str(r.denominator) for r in read]
+print(json.dumps({"unchanged": read_limit() == limit, "digests": digests, "unread": unread,
+                  "rationals": [hashlib.sha256(text.encode()).hexdigest() for text in read]}))
 """
 
 ORACLE_BITS = 100_000
 CANONICAL = re.compile(r"-?[1-9][0-9]*|0")
 
 
+@contextlib.contextmanager
+def no_digit_limit():
+    """The interpreter's int/str digit limit lifted, then restored."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def spelled(value):
     """str(value), from str() itself up to ORACLE_BITS."""
     if value.bit_length() <= ORACLE_BITS:
-        saved = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
+        with no_digit_limit():
             return str(value)
-        finally:
-            sys.set_int_max_str_digits(saved)
     text = int_to_str(value)
     assert CANONICAL.fullmatch(text) and str_to_int(text) == value
     return text
@@ -97,7 +117,7 @@ def children(fresh_interpreter_env):
 
 
 @pytest.fixture(scope="module")
-def expected_digests(children):
+def expected(children):
     # the children are started first, so the oracle runs while they do
     namespace = {}
     exec(VALUES, namespace)
@@ -105,17 +125,22 @@ def expected_digests(children):
     half = len(values) // 2  # the second half negates the first
     texts = [spelled(v) for v in values[:half]]
     texts += ["-" + text for text in texts]
-    return [hashlib.sha256(text.encode()).hexdigest() for text in texts]
+    with no_digit_limit():
+        read = [Fraction(text) for text in namespace["rationals"]]
+    read = [f"{spelled(r.numerator)}/{spelled(r.denominator)}" for r in read]
+    return {"digests": [hashlib.sha256(text.encode()).hexdigest() for text in texts],
+            "rationals": [hashlib.sha256(text.encode()).hexdigest() for text in read]}
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="interpreter has no int/str digit limit")
 @pytest.mark.parametrize("limit", LIMITS)
-def test_int_to_str_equals_str_at_every_limit(limit, children, expected_digests):
+def test_int_to_str_equals_str_at_every_limit(limit, children, expected):
     proc = children[limit]
     stdout, stderr = proc.communicate(timeout=120)
     assert proc.returncode == 0, stderr
     result = json.loads(stdout)
     assert result["unchanged"] is True
-    assert result["digests"] == expected_digests
+    assert result["digests"] == expected["digests"]
+    assert result["rationals"] == expected["rationals"]
     assert result["unread"] == []

@@ -25,7 +25,8 @@ from seriescert import (
     enumerate_brackets,
 )
 from seriescert.measure import _horner
-from seriescert.serialize import lowest_terms, ratio_to_str
+from seriescert.sequences import _decimal
+from seriescert.serialize import int_to_str, lowest_terms, ratio_to_str
 
 P4 = PowerRecurrence(2, 4)
 
@@ -140,7 +141,20 @@ def test_enumeration_and_minimum_equal_a_fraction_fold():
        st.integers(min_value=0, max_value=90))
 def test_ratio_to_str_spells_the_reduced_fraction(m, odd, twos, extra):
     n, d = m << extra, odd << twos
-    assert ratio_to_str(n, d) == str(Fraction(n, d))
+    assert ratio_to_str(lowest_terms(n, d)) == str(Fraction(n, d))
+
+
+def test_a_fraction_is_spelled_without_a_gcd(monkeypatch):
+    # a Fraction is in lowest terms already: spelling it for a message
+    # takes no gcd of its (here 8k- and 9k-bit) numerator and denominator
+    value = -Fraction(3**5000, 7**3000 << 5)
+    operands = []
+    gcd = math.gcd
+    monkeypatch.setattr(math, "gcd", lambda *args: operands.append(args) or gcd(*args))
+    text = _decimal(value)
+    monkeypatch.undo()
+    assert text == f"-{int_to_str(3**5000)}/{int_to_str(7**3000 << 5)}"
+    assert all(abs(x).bit_length() <= 64 for args in operands for x in args)
 
 
 # odd * 2**twos: a power of two (odd = 1), an odd value (twos = 0), or mixed

@@ -23,6 +23,7 @@ from seriescert import (
     verify_measure,
 )
 from seriescert import sequences
+from seriescert.serialize import evidence_obj
 
 P4 = PowerRecurrence(2, 4)
 K32 = Fraction(3, 2)
@@ -101,6 +102,27 @@ def test_bound_preconditions():
         bound(2, 0, Fraction(3), Fraction(2))
     with pytest.raises(InvalidParameterError):
         bound(2, 1, Fraction(3), Fraction(1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bound(2.0, 1, 3, "3/2"),
+    lambda: bound(2, 1.0, 3, "3/2"),
+    lambda: find_n1(P4, 3, 2.0, 1, 10),
+    lambda: brute_force_min(P4, 2, 1.0, enclose(P4, 3)),
+    lambda: verify_measure(P4, 3, K32, PolynomialInt((1, 1)), degree=2.0),
+], ids=["bound-degree", "bound-height", "find_n1-degree", "brute_force_min-height",
+        "verify_measure-degree"])
+def test_a_float_degree_or_height_raises_type_error(call):
+    # read with operator.index, as a spec scalar is: a float never reaches
+    # an exact bound (base 6.0, exponent 12.0) or the enumeration
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_a_bool_height_is_read_as_an_integer():
+    ev = verify_measure(P4, 3, K32, PolynomialInt((1, 1)), height=True)
+    assert type(ev.bound.height) is int
+    assert type(evidence_obj(ev)["bound"]["height"]) is int  # never a JSON true
 
 
 def test_bound_comparisons_are_exact():

@@ -1,16 +1,20 @@
 import contextlib
+import fractions
+import gc
 import json
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from seriescert import (
     Affine,
+    DigitBudgetError,
     Explicit,
     ExplicitIndices,
     FactorialExponent,
@@ -306,6 +310,77 @@ def test_str_to_int_rejects_non_strings(value):
         int(value, 10)
     with pytest.raises(InvalidParameterError):
         str_to_int(value)
+
+
+def test_str_to_int_keeps_no_powers_alive():
+    # with the cyclic collector off, the table of powers of 5 behind a
+    # long read is freed when the read returns; a recursive closure would
+    # hold it in a reference cycle (about 46 KB for these digits)
+    text = "7" * 143_137
+    str_to_int(text)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        str_to_int(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 8192
+
+
+# digit runs on both sides of the str_to_int cut-over and of the default
+# int/str limit; a run is seeded, since hypothesis draws no 6,000 characters
+RUN_LENGTHS = [1, 2, 639, 640, 641, 4299, 4300, 4301, 6000]
+
+
+@st.composite
+def rational_texts(draw):
+    """Texts built from the grammar of Fraction(text): a sign, "p/q" or a
+    decimal with an exponent, underscores between digits, whitespace at
+    the ends; then, sometimes, one character inserted anywhere."""
+
+    def run():
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        digits = "".join(rng.choices("0123456789\u0663", k=draw(st.sampled_from(RUN_LENGTHS))))
+        if draw(st.booleans()):
+            digits = "_".join(digits[i:i + 7] for i in range(0, len(digits), 7))
+        return digits
+
+    body = draw(st.sampled_from(["p", "p/q", "p.q", ".q", "p."]))
+    body = body.replace("p", run()).replace("q", run())
+    if "/" not in body and draw(st.booleans()):
+        body += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-", "+0", "-000"]))
+        body += str(draw(st.integers(0, 40)))
+    space = st.sampled_from(["", " ", "\t\n", "\x1c", "\u3000"])
+    text = draw(space) + draw(st.sampled_from(["", "+", "-"])) + body + draw(space)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from("_./eE+- x0")) + text[at:]
+    return text
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_texts())
+def test_parse_rational_reads_long_texts_as_fraction_does(text):
+    # an inserted "e" can make an exponent of thousands of digits, which
+    # Fraction() would build; past the budget parse_rational refuses it
+    form = fractions._RATIONAL_FORMAT.match(text)
+    with builtin_oracle():
+        huge = bool(form and form["exp"]) and abs(int(form["exp"])) > 1000
+        try:
+            expected = None if huge else Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = InvalidParameterError
+    if huge:
+        with pytest.raises(DigitBudgetError, match="alpha has decimal exponent"):
+            parse_rational(text, "alpha", 1000)
+    elif expected is InvalidParameterError:
+        with pytest.raises(InvalidParameterError, match="cannot parse alpha"):
+            parse_rational(text, "alpha", 1000)
+    else:
+        assert parse_rational(text, "alpha", 1000) == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 9, 10, 11, 99, 300, 616, 617, 4300, 20_000])

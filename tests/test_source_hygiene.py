@@ -192,7 +192,7 @@ def test_a_shared_name_is_read_where_recorded(qualified, reader):
 #: Code lines of src/seriescert/*.py as _code_lines counts them. A change
 #: that adds no capability must not raise this; one that adds a capability
 #: raises it and records the new count and the reason in CHANGES.md.
-CODE_LINE_CEILING = 1635
+CODE_LINE_CEILING = 1631
 
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _LAYOUT = _STATEMENT_START | {tokenize.ENCODING, tokenize.ENDMARKER}

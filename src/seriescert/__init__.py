@@ -48,8 +48,6 @@ from .measure import (
     brute_force_min,
     enumerate_brackets,
     find_n1,
-    q_growth_holds,
-    qn_exponent_bound_holds,
     verify_measure,
 )
 from .sequences import (

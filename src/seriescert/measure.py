@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
-from .convergents import _prefix_sums, partial_sum
+from .convergents import partial_sum
 from .enclosure import Enclosure, _check_spec, enclose, refine
 from .errors import (
     EnumerationTooLargeError,
@@ -46,11 +46,9 @@ from .sequences import (
     _compare_products,
     _decimal,
     _require,
-    _Verdicts,
     check_sandwich,
     compare_power,
     one_pass,
-    term_stream,
 )
 from .serialize import lowest_terms
 
@@ -213,35 +211,6 @@ def bound(
         base=H * d * (d + 1),
         exponent=k * d * (alpha + 1) / (alpha - d),
     )
-
-
-@one_pass()
-def qn_exponent_bound_holds(
-    spec: SequenceSpec,
-    alpha: Union[Fraction, int, str],
-    n: int,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> bool:
-    """Exact check q_n <= a_n^((alpha+1)/alpha)."""
-    v = _Verdicts(_as_positive_fraction(alpha, "alpha", digit_budget), None, digit_budget)
-    _at_least(n, 1, "index")
-    q = _prefix_sums(spec, digit_budget)(n).q
-    return v.q_exponent_ok(q, term_stream(spec, digit_budget)(n))
-
-
-def q_growth_holds(
-    spec: SequenceSpec,
-    alpha: Union[Fraction, int, str],
-    k: Union[Fraction, int, str],
-    n: int,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> bool:
-    """Exact check q_{n+1} < q_n^(k*(alpha+1))."""
-    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
-    v = _Verdicts(alpha, _as_k(k, digit_budget), digit_budget)
-    _at_least(n, 1, "index")
-    s = _prefix_sums(spec, digit_budget)
-    return v.q_growth_ok(s(n).q, s(n + 1).q)
 
 
 @one_pass()

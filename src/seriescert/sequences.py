@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import cached_property, reduce
+from numbers import Rational
 from typing import Callable, Optional, Union
 
 from .errors import (
@@ -73,6 +74,8 @@ def _as_positive_fraction(
     if isinstance(value, str):  # text, read under the caller's budget
         from .serialize import parse_rational  # serialize imports this module
         value = parse_rational(value, name, digit_budget)
+    elif not isinstance(value, Rational):  # a float is refused, not read as its binary expansion
+        raise TypeError(f"{name} must be a rational or text, got {type(value).__name__}")
     f = Fraction(value)
     if f <= 0:
         raise InvalidParameterError(f"{name} must be positive, got {_decimal(f)}")
@@ -490,8 +493,10 @@ def compare_power(
     Decided by comparing the integers x**e.denominator and y**e.numerator,
     so fractional exponents cost no rounding; most comparisons are
     settled by the bit lengths of x and y before either power is built
-    (see :func:`_compare_products`).
+    (see :func:`_compare_products`). x and y are read with
+    ``operator.index``: a float raises TypeError, a bool is read as 0 or 1.
     """
+    x, y = operator.index(x), operator.index(y)
     if x < 1 or y < 1:
         raise InvalidParameterError("compare_power needs positive integers")
     e = _as_positive_fraction(e, "exponent", digit_budget)

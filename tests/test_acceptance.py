@@ -16,6 +16,7 @@ import time
 from fractions import Fraction
 
 from seriescert import (
+    DEFAULT_DIGIT_BUDGET,
     FactorialExponent,
     PolynomialInt,
     PowerRecurrence,
@@ -27,8 +28,6 @@ from seriescert import (
     enclose,
     find_n1,
     partial_sum,
-    q_growth_holds,
-    qn_exponent_bound_holds,
     shrink_decreases,
     shrink_factor,
     tail_bound,
@@ -37,6 +36,8 @@ from seriescert import (
     witness,
 )
 from seriescert.cli import main
+from seriescert.convergents import _prefix_sums
+from seriescert.sequences import _Verdicts, term_stream
 
 P4 = PowerRecurrence(2, 4)
 A52 = Fraction(5, 2)
@@ -154,9 +155,11 @@ def test_criterion_5_randomized_inequality_suite():
             if not check.all_hold():
                 break
             ok_prefix = check.n
+        v = _Verdicts(sandwich_alpha, Fraction(3, 2), DEFAULT_DIGIT_BUDGET)
+        sums, a = _prefix_sums(spec), term_stream(spec)
         for n in range(1, ok_prefix + 1):
-            assert qn_exponent_bound_holds(spec, sandwich_alpha, n)
-            assert q_growth_holds(spec, sandwich_alpha, Fraction(3, 2), n)
+            assert v.q_exponent_ok(sums(n).q, a(n))
+            assert v.q_growth_ok(sums(n).q, sums(n + 1).q)
 
         # enclosure nesting with exact width
         previous = None

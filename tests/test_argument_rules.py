@@ -1,7 +1,7 @@
 """Argument rules, each stated once: the exact text of every integer
 lower-bound message and of both violated-hypothesis messages, the index
-map's type checked when a subseries is made, and explicit lists and spec
-scalars that hold integers only."""
+map's type checked when a subseries is made, and explicit lists, spec
+scalars and compare_power's x and y that take integers only."""
 
 from fractions import Fraction
 
@@ -15,16 +15,16 @@ from seriescert import (
     HypothesisFailedError,
     InvalidIndexMapError,
     InvalidParameterError,
+    Ordering,
     PolynomialInt,
     PowerRecurrence,
     Subseries,
     bound,
     certify,
+    compare_power,
     convergent_range,
     find_n1,
     partial_sum,
-    q_growth_holds,
-    qn_exponent_bound_holds,
     shrink_factor,
     tail_bound,
     term,
@@ -51,8 +51,6 @@ HUGE_TEXT = "-1" + "0" * 4999
     (lambda: shrink_factor(P4, 2, 0), "index must be >= 1, got 0"),
     (lambda: tail_bound(P4, -1), "index must be >= 0, got -1"),
     (lambda: tail_bound(P4, HUGE), f"index must be >= 0, got {HUGE_TEXT}"),
-    (lambda: qn_exponent_bound_holds(P4, 2, 0), "index must be >= 1, got 0"),
-    (lambda: q_growth_holds(P4, 2, 2, 0), "index must be >= 1, got 0"),
     (lambda: find_n1(P4, 3, 2, 1, 0), "search cutoff must be >= 1, got 0"),
     (lambda: bound(2, 1, 5, 1), "k must be > 1, got 1"),
     (lambda: bound(2, 1, 5, Fraction(1, 2)), "k must be > 1, got 1/2"),
@@ -125,6 +123,14 @@ def test_explicit_lists_refuse_non_integers(make, entries):
 def test_spec_scalars_refuse_floats_when_made(make):
     with pytest.raises(TypeError):
         make()
+
+
+@pytest.mark.parametrize("x, y", [(2.0, 2), (2, 4.0)], ids=["x", "y"])
+def test_compare_power_reads_its_integers_with_operator_index(x, y):
+    # a float raises TypeError before its missing bit_length is asked for
+    with pytest.raises(TypeError):
+        compare_power(x, y, Fraction(1, 2))
+    assert compare_power(True, 4, Fraction(1, 2)) is Ordering.LESS
 
 
 def test_spec_scalars_store_a_bool_as_an_int():

@@ -36,8 +36,6 @@ from seriescert import (
     find_n1,
     parse_rational,
     partial_sum,
-    q_growth_holds,
-    qn_exponent_bound_holds,
     shrink_factor,
     shrink_less_than,
     spec_from_obj,
@@ -229,9 +227,6 @@ BUDGETED_READERS = [
     ("theta_upper", lambda t: effective_start(P4, 3, t, 1, 2, 1000)),
     ("alpha", lambda t: witness(P4, t, 1, 1000)),
     ("alpha", lambda t: certify(P4, t, 1, 2, 1000)),
-    ("alpha", lambda t: qn_exponent_bound_holds(P4, t, 1, 1000)),
-    ("alpha", lambda t: q_growth_holds(P4, t, 2, 1, 1000)),
-    ("k", lambda t: q_growth_holds(P4, 3, t, 1, 1000)),
     ("alpha", lambda t: find_n1(P4, t, 2, 1, 5, 1000)),
     ("alpha", lambda t: verify_measure(P4, t, 2, PolynomialInt((1, 1)), digit_budget=1000)),
     ("k", lambda t: verify_measure(P4, 3, t, PolynomialInt((1, 1)), digit_budget=1000)),
@@ -245,6 +240,13 @@ def test_text_is_read_under_the_call_s_own_budget(name, read):
     with pytest.raises(DigitBudgetError) as exc:
         read("1e900000")
     assert str(exc.value) == f"{name} has decimal exponent 900000, beyond the 1000-digit budget"
+
+
+@pytest.mark.parametrize("name, read", BUDGETED_READERS)
+def test_a_float_rational_is_refused(name, read):
+    # 2.1 is 4728779608739021/2251799813685248 in binary, which no caller wrote
+    with pytest.raises(TypeError, match=f"^{name} must be a rational or text, got float$"):
+        read(2.1)
 
 
 def _outcome(read):
@@ -375,8 +377,6 @@ def test_analyze_takes_an_alpha_beyond_float_range(write_spec, capsys):
     lambda: partial_sum(P4, -NINES),
     lambda: shrink_factor(P4, 2, -NINES),
     lambda: tail_bound(P4, -NINES),
-    lambda: qn_exponent_bound_holds(P4, 2, -NINES),
-    lambda: q_growth_holds(P4, 2, 2, -NINES),
     lambda: bound(NINES, 1, 100, 2),
     lambda: find_n1(P4, 100, -NINES, 1, 1),
     lambda: find_n1(P4, 100, 2, -NINES, 1),

@@ -1,4 +1,5 @@
 import importlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,10 @@ from seriescert import (
     enclose,
     enumerate_brackets,
     find_n1,
-    q_growth_holds,
-    qn_exponent_bound_holds,
     verify_measure,
 )
 from seriescert import sequences
+from seriescert.cli import main
 from seriescert.serialize import evidence_obj
 
 P4 = PowerRecurrence(2, 4)
@@ -140,28 +140,19 @@ def test_bound_comparisons_are_exact():
 # ---------------------------------------------------------------------------
 
 
-def test_qn_exponent_bound():
-    assert qn_exponent_bound_holds(P4, Fraction(3), 1)
-    assert qn_exponent_bound_holds(P4, Fraction(3), 2)
-    assert qn_exponent_bound_holds(P4, Fraction(3), 3)
-
-
-def test_qn_exponent_bound_reads_q_as_a_form(monkeypatch):
-    # q_4 = a_4 = b^64 for b = 2^512: the verdict compares exponents, and
-    # no power x * b^E with x = 1 (a term's value) is built
+def test_qn_exponent_bound_reads_q_as_a_form(monkeypatch, tmp_path, capsys):
+    # q_4 = a_4 = b^64 for b = 2^512: analyze's q_exp_bound cell compares
+    # exponents, and no power x * b^E with x = 1 (a term's value) is built
     built = []
     times_pow = sequences._times_pow
     monkeypatch.setattr(sequences, "_times_pow",
                         lambda x, b, e: built.append(x) or times_pow(x, b, e))
-    assert qn_exponent_bound_holds(PowerRecurrence(2**512, 4), 3, 4)
+    spec = tmp_path / "p512.json"
+    spec.write_text(f'{{"family": "power", "a1": "{2**512}", "e": "4"}}')
+    main(["analyze", "--spec", str(spec), "--alpha", "3", "--from", "4", "--to", "4",
+          "--format", "json"])
+    assert json.loads(capsys.readouterr().out)[0]["q_exp_bound"] == "pass"
     assert 1 not in built
-
-
-def test_q_growth():
-    assert q_growth_holds(P4, Fraction(3), K32, 1)  # 16 < 2^6
-    assert q_growth_holds(P4, Fraction(3), K32, 2)  # 2^16 < 16^6
-    with pytest.raises(InvalidParameterError):
-        q_growth_holds(P4, Fraction(3), Fraction(1), 1)
 
 
 def test_find_n1():

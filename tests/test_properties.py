@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seriescert import (
+    DEFAULT_DIGIT_BUDGET,
     Affine,
     DigitBudgetError,
     FactorialExponent,
@@ -20,13 +21,10 @@ from seriescert import (
     Subseries,
     certify,
     check_growth,
-    check_sandwich,
     compare_power,
     enclose,
     find_n1,
     partial_sum,
-    q_growth_holds,
-    qn_exponent_bound_holds,
     shrink_decreases,
     shrink_factor,
     spec_from_obj,
@@ -36,7 +34,9 @@ from seriescert import (
     verify_measure,
     witness,
 )
+from seriescert.convergents import _prefix_sums
 from seriescert.measure import PolynomialInt
+from seriescert.sequences import _Verdicts, term_stream
 
 ALPHAS = [Fraction(5, 2), Fraction(7, 3), Fraction(11, 4), Fraction(3)]
 
@@ -118,17 +118,6 @@ def test_enclosures_nest_with_exact_width(spec, m):
     assert inner.hi - inner.lo < outer.hi - outer.lo
 
 
-@given(power_specs, st.integers(min_value=1, max_value=3))
-def test_six_and_seven_hold_under_the_sandwich(spec, n):
-    # exponents tuned so the sandwich admits every drawn recurrence
-    alpha = Fraction(spec.e - 1)
-    k = Fraction(3, 2)
-    report = check_sandwich(spec, alpha, k, 1, n + 1)
-    if report.all_hold():
-        assert qn_exponent_bound_holds(spec, alpha, n)
-        assert q_growth_holds(spec, alpha, k, n)
-
-
 @given(
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=4).filter(
         lambda c: any(c)
@@ -171,6 +160,21 @@ factorial_specs = st.builds(
     st.integers(min_value=0, max_value=1),
     st.integers(min_value=1, max_value=3),
 )
+
+
+@given(st.one_of(power_specs, factorial_specs), st.sampled_from(ALPHAS),
+       st.integers(min_value=1, max_value=3))
+def test_six_and_seven_match_plain_powers(spec, alpha, n):
+    # the denominator verdicts analyze reads off the sum stream, against
+    # q_n <= a_n^((alpha+1)/alpha) and q_{n+1} < q_n^(k(alpha+1)), k = 3/2,
+    # on the integers the public paths build
+    p, s = alpha.numerator, alpha.denominator
+    v = _Verdicts(alpha, Fraction(3, 2), DEFAULT_DIGIT_BUDGET)
+    sums, a = _prefix_sums(spec), term_stream(spec)
+    q, q_next, a_n = partial_sum(spec, n).q, partial_sum(spec, n + 1).q, term(spec, n)
+    assert v.q_exponent_ok(sums(n).q, a(n)) == (q**p <= a_n ** (p + s))
+    assert v.q_growth_ok(sums(n).q, sums(n + 1).q) == (q_next ** (2 * s) < q ** (3 * (p + s)))
+
 
 # (spec, alpha, k) inside the sandwich: alpha + 1 = e <= e < k*alpha for
 # a power recurrence, and E_{n+1}/E_n in 5..11 against alpha + 1 = 4 and

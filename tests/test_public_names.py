@@ -29,10 +29,9 @@ PUBLIC_NAMES = [
     "certificate_obj", "certify", "check_growth", "check_sandwich", "checked_pow",
     "compare_power", "convergent_range", "effective_start",
     "enclose", "enumerate_brackets", "exponent_form", "find_n1", "has_tail_guarantee",
-    "parse_rational", "partial_sum", "q_growth_holds", "qn_exponent_bound_holds",
-    "rational_from_obj", "rational_obj", "rational_prefix", "refine", "shrink_decreases",
-    "shrink_factor", "shrink_less_than", "spec_fingerprint", "spec_from_obj", "spec_obj",
-    "tail_bound", "term", "verify_measure", "witness",
+    "parse_rational", "partial_sum", "rational_from_obj", "rational_obj", "rational_prefix",
+    "refine", "shrink_decreases", "shrink_factor", "shrink_less_than", "spec_fingerprint",
+    "spec_from_obj", "spec_obj", "tail_bound", "term", "verify_measure", "witness",
 ]
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"

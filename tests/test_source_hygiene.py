@@ -84,8 +84,6 @@ KEPT_UNCALLED = {
     "convergent_range": "perfbench/tracing.py wraps it by name",
     "enumerate_brackets": "perfbench/tracing.py wraps it by name",
     "PolynomialInt.evaluate_interval": "perfbench/tracing.py wraps it by name",
-    "qn_exponent_bound_holds": "the sibling lemma of q_growth_holds; property tests call both",
-    "q_growth_holds": "the sibling lemma of qn_exponent_bound_holds; property tests call both",
     "exponent_form": "waits for ROADMAP item 6",
     "effective_start": "waits for ROADMAP item 7",
     "shrink_decreases": "waits for ROADMAP item 7",
@@ -192,7 +190,7 @@ def test_a_shared_name_is_read_where_recorded(qualified, reader):
 #: Code lines of src/seriescert/*.py as _code_lines counts them. A change
 #: that adds no capability must not raise this; one that adds a capability
 #: raises it and records the new count and the reason in CHANGES.md.
-CODE_LINE_CEILING = 1631
+CODE_LINE_CEILING = 1608
 
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _LAYOUT = _STATEMENT_START | {tokenize.ENCODING, tokenize.ENDMARKER}

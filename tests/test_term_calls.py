@@ -28,7 +28,6 @@ from seriescert import (
     convergent_range,
     effective_start,
     partial_sum,
-    q_growth_holds,
     verify_measure,
 )
 from seriescert.cli import main
@@ -108,11 +107,6 @@ def test_effective_start_builds_each_term_once(term_calls):
     # b_2, b_3 >= 1/2 > b_4 for a_n = 2^(n!+1)
     assert effective_start(FE, A52, Fraction(1), 2, 6) == 4
     assert built(term_calls, FE) == [1, 2, 3, 4, 5]
-
-
-def test_q_growth_builds_each_term_once(term_calls):
-    assert q_growth_holds(P4, 3, Fraction(3, 2), 2)
-    assert built(term_calls, P4) == [1, 2, 3]
 
 
 def test_partial_sum_reads_no_term_past_its_index(term_calls):

@@ -31,8 +31,7 @@ from seriescert import (
     check_growth,
     check_sandwich,
     compare_power,
-    q_growth_holds,
-    qn_exponent_bound_holds,
+    partial_sum,
     shrink_factor,
     term,
 )
@@ -178,12 +177,15 @@ def test_analyze_rows_agree_with_the_public_paths(name, alpha, k, tmp_path):
         built = float(alpha) * math.log10(shrink.product) - math.log10(shrink.next_term)
         assert row["log10_shrink"] == f"{shrink.log10_approx:.6g}" == f"{built:.6g}"
         assert row["digits"] == str(decimal_digits(term(spec, n))) == str(len(str(term(spec, n))))
+        # q_n <= a_n^((alpha+1)/alpha) and q_{n+1} < q_n^(k(alpha+1)) as plain powers
+        p, s, q = alpha.numerator, alpha.denominator, partial_sum(spec, n).q
         cells = {"growth": check_growth(spec, alpha, n, n).all_hold(),
-                 "q_exp_bound": qn_exponent_bound_holds(spec, alpha, n)}
+                 "q_exp_bound": q**p <= term(spec, n) ** (p + s)}
         if k:
             sandwich = check_sandwich(spec, alpha, k, n, n).per_index[0]
+            q_next = partial_sum(spec, n + 1).q
             cells.update(sandwich_lower=sandwich.lower_holds,
                          sandwich_upper=sandwich.upper_holds,
-                         q_growth=q_growth_holds(spec, alpha, k, n))
+                         q_growth=q_next ** (k.denominator * s) < q ** (k.numerator * (p + s)))
         assert {c: row[c] for c in cells} == {c: "pass" if ok else "fail"
                                                for c, ok in cells.items()}

@@ -9,16 +9,7 @@ polynomial lower bounds with exhaustive search.
 
 from types import ModuleType as _ModuleType
 
-from .convergents import (
-    Convergent,
-    TailShrink,
-    convergent_range,
-    effective_start,
-    partial_sum,
-    shrink_decreases,
-    shrink_factor,
-    shrink_less_than,
-)
+from .convergents import Convergent, TailShrink, convergent_range, partial_sum
 from .enclosure import Enclosure, enclose, has_tail_guarantee, refine, tail_bound
 from .errors import (
     AlphaTooSmallError,
@@ -31,8 +22,6 @@ from .errors import (
     InvalidIndexMapError,
     InvalidParameterError,
     NoTailGuaranteeError,
-    NotFoundBelowNMaxError,
-    NotFoundInWindowError,
     SeriesCertError,
     SpecMismatchError,
     WitnessFailedError,
@@ -41,13 +30,11 @@ from .measure import (
     BruteForceResult,
     MeasureBound,
     MeasureEvidence,
-    N1Result,
     PolynomialInt,
     abs_bracket,
     bound,
     brute_force_min,
     enumerate_brackets,
-    find_n1,
     verify_measure,
 )
 from .sequences import (
@@ -66,7 +53,6 @@ from .sequences import (
     check_sandwich,
     checked_pow,
     compare_power,
-    exponent_form,
     term,
 )
 from .serialize import (

@@ -10,15 +10,14 @@ is reduced and that q <= a_1 a_2 ... a_m; a violation would mean the
 arithmetic itself is broken, so it raises ExactnessError rather than
 returning a flag. A partial sum reads no term past its own index, and
 inside one pass (``one_pass``) each partial sum is built once and
-extended from there. The public results (Convergent, TailShrink) hold
-plain integers, built from the forms when they are made or read.
+extended from there. A Convergent holds plain integers, built from the
+forms when it is made.
 
 The shrink factor b_n = (a_1 a_2 ... a_n)^alpha / a_{n+1} is held as the
-exact pair (product, next term) of forms plus the exponent. It is never
-realized as a real number: every decision about it goes through an
-integer cross-power comparison. A float log10 rides along for reporting,
-equal to math.log10 of the built integers bit for bit, and read from the
-bit length for a power of two past float range.
+exact pair (product, next term) of forms plus the exponent, and is read
+only for reporting: a float log10, equal to math.log10 of the built
+integers bit for bit, and read from the bit length for a power of two
+past float range.
 """
 
 from __future__ import annotations
@@ -26,24 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterator, NamedTuple
 
-from .errors import ExactnessError, InvalidParameterError, NotFoundInWindowError
+from .errors import ExactnessError
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Form,
-    Ordering,
     SequenceSpec,
-    _as_positive_fraction,
     _at_least,
     _bits_check,
-    _compare_products,
     _decimal,
     _odd_part,
     _pass_memo,
     _times_pow,
-    _window,
-    one_pass,
     term_stream,
 )
 from .serialize import lowest_terms
@@ -66,8 +60,7 @@ class Convergent:
 class TailShrink:
     """Exact representation of (a_1...a_n)^alpha / a_{n+1}.
 
-    The product and the next term are held as forms; product and
-    next_term are the exact naturals, built when read. log10_approx is a
+    The product and the next term are held as forms. log10_approx is a
     float estimate of log10 of the quantity, for display only.
     """
 
@@ -75,9 +68,6 @@ class TailShrink:
     product_form: Form
     next_form: Form
     alpha: Fraction
-
-    product = property(lambda ts: ts.product_form.value)
-    next_term = property(lambda ts: ts.next_form.value)
 
     @property
     def log10_approx(self) -> float:
@@ -188,7 +178,7 @@ def convergent_range(
     spec: SequenceSpec, last: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Iterator[Convergent]:
     """Yield the convergents for m = 1..last, computed incrementally."""
-    _at_least(last, 1, "range end")
+    last = _at_least(last, 1, "range end")
     s = _prefix_sums(spec, digit_budget)
     for m in range(1, last + 1):
         yield s(m).convergent
@@ -198,84 +188,5 @@ def partial_sum(
     spec: SequenceSpec, m: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
 ) -> Convergent:
     """Exact reduced partial sum over terms 1..m (m = 0 gives 0/1)."""
-    _at_least(m, 0, "partial sum index")
+    m = _at_least(m, 0, "partial sum index")
     return _prefix_sums(spec, digit_budget)(m).convergent
-
-
-def shrink_factor(
-    spec: SequenceSpec,
-    alpha: Union[Fraction, int, str],
-    n: int,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> TailShrink:
-    """Build (a_1...a_n)^alpha / a_{n+1} in exact form, with the product
-    taken from the partial-sum step."""
-    _at_least(n, 1, "index")
-    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
-    product = _prefix_sums(spec, digit_budget)(n).product
-    return TailShrink(n, product, term_stream(spec, digit_budget)(n + 1), alpha)
-
-
-def shrink_less_than(
-    ts: TailShrink,
-    r: Union[Fraction, int, str],
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> bool:
-    """Decide product^alpha / next < r exactly.
-
-    With alpha = p/s and r = u/v, both sides are raised to the s-th
-    power and cleared of denominators: the answer is the integer
-    comparison product^p * v^s < u^s * next^s.
-    """
-    r = _as_positive_fraction(r, "threshold", digit_budget)
-    p, s = ts.alpha.numerator, ts.alpha.denominator
-    u, v = r.numerator, r.denominator
-    lhs, rhs = ((ts.product_form, p), (v, s)), ((u, s), (ts.next_form, s))
-    return _compare_products(lhs, rhs, digit_budget) is Ordering.LESS
-
-
-def shrink_decreases(
-    prev: TailShrink,
-    cur: TailShrink,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> bool:
-    """Exact check that cur represents a strictly smaller value than prev.
-
-    product_c^alpha / next_c < product_p^alpha / next_p is decided by
-    clearing the alpha = p/s power across both sides.
-    """
-    if prev.alpha != cur.alpha:
-        raise InvalidParameterError("shrink factors must share the same exponent")
-    p, s = cur.alpha.numerator, cur.alpha.denominator
-    lhs = ((cur.product_form, p), (prev.next_form, s))
-    rhs = ((prev.product_form, p), (cur.next_form, s))
-    return _compare_products(lhs, rhs, digit_budget) is Ordering.LESS
-
-
-@one_pass()
-def effective_start(
-    spec: SequenceSpec,
-    alpha: Union[Fraction, int, str],
-    theta_upper: Union[Fraction, int, str],
-    first: int,
-    last: int,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> int:
-    """Least m in first..last with b_m < 1/(1 + theta_upper), exactly.
-
-    theta_upper must be an upper bound for the series value; callers
-    typically take it from an enclosure. Once the shrink factor drops
-    below the threshold it stays below on any window where the growth
-    hypothesis keeps holding, so the returned index is a valid cutoff.
-    """
-    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
-    theta_upper = _as_positive_fraction(theta_upper, "theta_upper", digit_budget)
-    first, last = _window(first, last)
-    threshold = 1 / (1 + theta_upper)
-    for m in range(first, last + 1):
-        if shrink_less_than(shrink_factor(spec, alpha, m, digit_budget), threshold, digit_budget):
-            return m
-    raise NotFoundInWindowError(
-        f"no index in {_decimal(first)}..{_decimal(last)} brings the shrink factor "
-        "below 1/(1+theta)"
-    )

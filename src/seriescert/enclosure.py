@@ -71,7 +71,7 @@ def has_tail_guarantee(spec: SequenceSpec) -> bool:
 def _tail_term(spec: SequenceSpec, m: int, digit_budget: int) -> Form:
     """a_{m+1}, the term the tail bound past index m is over, after the
     checks of the bound: the index, then the family's guarantee."""
-    _at_least(m, 0, "index")
+    m = _at_least(m, 0, "index")
     if not has_tail_guarantee(spec):
         raise NoTailGuaranteeError(
             "sequence family offers no doubling guarantee beyond its known terms"

@@ -50,20 +50,6 @@ class NoTailGuaranteeError(SeriesCertError):
     code = "no-tail-guarantee"
 
 
-class NotFoundInWindowError(SeriesCertError):
-    """No index in the searched window satisfied the requested condition."""
-
-    code = "not-found-in-window"
-    exit_code = 1
-
-
-class NotFoundBelowNMaxError(SeriesCertError):
-    """The threshold index search ran out of indices."""
-
-    code = "not-found-below-nmax"
-    exit_code = 1
-
-
 class EnumerationTooLargeError(SeriesCertError):
     """The polynomial enumeration would exceed the configured cap, or a
     walk would build more than ``sequences.MAX_TERMS`` terms."""

@@ -22,19 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
 
+# nothing here sums the series; perfbench's tracer test reads measure.partial_sum
 from .convergents import partial_sum
 from .enclosure import Enclosure, _check_spec, enclose, refine
-from .errors import (
-    EnumerationTooLargeError,
-    InconclusiveError,
-    InvalidParameterError,
-    NotFoundBelowNMaxError,
-)
+from .errors import EnumerationTooLargeError, InconclusiveError, InvalidParameterError
 from .sequences import (
     DEFAULT_DIGIT_BUDGET,
     Ordering,
@@ -47,7 +42,6 @@ from .sequences import (
     _decimal,
     _require,
     check_sandwich,
-    compare_power,
     one_pass,
 )
 from .serialize import lowest_terms
@@ -149,15 +143,6 @@ class MeasureBound:
 
 
 @dataclass(frozen=True)
-class N1Result:
-    """Smallest index whose denominator clears the height threshold."""
-
-    n1: int
-    q_at_n1: int
-    threshold_value: int
-
-
-@dataclass(frozen=True)
 class MeasureEvidence:
     polynomial: PolynomialInt
     bound: MeasureBound
@@ -176,12 +161,8 @@ class BruteForceResult:
 
 
 def _check_class(d: int, H: int, min_degree: int) -> tuple[int, int]:
-    """(d, H) read with ``operator.index``, as the spec scalars are: a float
-    raises TypeError, a bool is read as 0 or 1."""
-    d, H = operator.index(d), operator.index(H)
-    _at_least(d, min_degree, "degree")
-    _at_least(H, 1, "height")
-    return d, H
+    """(d, H) read as integers by ``_at_least``, degree first."""
+    return _at_least(d, min_degree, "degree"), _at_least(H, 1, "height")
 
 
 def _check_above_degree(alpha: Fraction, d: int) -> None:
@@ -210,35 +191,6 @@ def bound(
         k=k,
         base=H * d * (d + 1),
         exponent=k * d * (alpha + 1) / (alpha - d),
-    )
-
-
-@one_pass()
-def find_n1(
-    spec: SequenceSpec,
-    alpha: Union[Fraction, int, str],
-    d: int,
-    H: int,
-    n_max: int,
-    digit_budget: int = DEFAULT_DIGIT_BUDGET,
-) -> N1Result:
-    """Smallest n <= n_max with q_n^(alpha-d) strictly above H*d*(d+1).
-
-    Equality does not qualify; the inequality the downstream argument
-    needs is strict.
-    """
-    alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
-    d, H = _check_class(d, H, 1)
-    _at_least(n_max, 1, "search cutoff")
-    _check_above_degree(alpha, d)
-    threshold, e = H * d * (d + 1), 1 / (alpha - d)
-    _bits_check(threshold.bit_length(), e.numerator, digit_budget)
-    for n in range(1, n_max + 1):
-        q = partial_sum(spec, n, digit_budget).q
-        if compare_power(q, threshold, e, digit_budget) is Ordering.GREATER:
-            return N1Result(n1=n, q_at_n1=q, threshold_value=threshold)
-    raise NotFoundBelowNMaxError(
-        f"no index up to {_decimal(n_max)} clears the threshold {_decimal(threshold)}"
     )
 
 
@@ -277,7 +229,7 @@ def verify_measure(
     """
     alpha = _as_positive_fraction(alpha, "alpha", digit_budget)
     k = _as_positive_fraction(k, "k", digit_budget)
-    _at_least(max_refinements, 0, "refinement allowance")
+    max_refinements = _at_least(max_refinements, 0, "refinement allowance")
     d = degree if degree is not None else max(2, P.degree)
     if d < P.degree:
         raise InvalidParameterError(

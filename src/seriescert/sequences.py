@@ -90,9 +90,13 @@ def _as_k(value: Union[Fraction, int, str], digit_budget: int) -> Fraction:
     return k
 
 
-def _at_least(value: int, least: int, what: str) -> None:
+def _at_least(value: int, least: int, what: str) -> int:
+    """value read with ``operator.index`` (a float raises TypeError, a bool
+    is read as 0 or 1), once it is at least least."""
+    value = operator.index(value)
     if value < least:
         raise InvalidParameterError(f"{what} must be >= {least}, got {_decimal(value)}")
+    return value
 
 
 def _store_ints(obj, *fields: str) -> None:
@@ -101,14 +105,30 @@ def _store_ints(obj, *fields: str) -> None:
     vars(obj).update({field: operator.index(getattr(obj, field)) for field in fields})
 
 
+#: Longest text an error message echoes in full: past it, :func:`_abridged`
+#: keeps a message to a few hundred bytes whatever the input's size.
+ECHO_LENGTH = 10_000
+
+
+def _abridged(text: str, unit: str, spell: Callable[[str], str] = str) -> str:
+    """spell(text) for an error message, or past ECHO_LENGTH characters
+    spell of its first and last 20 and its length in unit."""
+    if len(text) <= ECHO_LENGTH:
+        return spell(text)
+    return f"{spell(text[:20])}...{spell(text[-20:])} ({len(text)} {unit})"
+
+
 def _decimal(value) -> str:
     """``str(value)``, at any size for an int or a Fraction, for error
-    messages."""
-    from .serialize import int_to_str, ratio_to_str  # serialize imports this module
+    messages: an integer of more than ECHO_LENGTH digits is abridged."""
+    from .serialize import int_to_str  # serialize imports this module
 
     if isinstance(value, Fraction):
-        return ratio_to_str(value)
-    return int_to_str(value) if isinstance(value, int) else str(value)
+        p, q = value.numerator, value.denominator
+        return _decimal(p) if q == 1 else f"{_decimal(p)}/{_decimal(q)}"
+    if not isinstance(value, int):
+        return str(value)
+    return ("-" if value < 0 else "") + _abridged(int_to_str(abs(value)), "digits")
 
 
 def _bits_check(bits: int, exp: int, digit_budget: int) -> None:
@@ -132,8 +152,10 @@ def checked_pow(base: int, exp: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -
 
     The estimate ``exp * bit_length(base) * log10(2)`` bounds the decimal
     digit count of the result from above, so the power is never computed
-    when it could not be stored within budget.
+    when it could not be stored within budget. base and exp are read with
+    ``operator.index``.
     """
+    base, exp = operator.index(base), operator.index(exp)
     _bits_check(base.bit_length(), exp, digit_budget)
     return _times_pow(1, base, exp)
 
@@ -383,7 +405,7 @@ def _walk(spec: SequenceSpec, n: int, digit_budget: int) -> Form:
     :class:`Form`, after the index pre-checks of :func:`term`. A family
     term carries the budget it is built under; an explicit term is given,
     not built, so it carries none."""
-    _at_least(n, 1, "term index")
+    n = _at_least(n, 1, "term index")
     if not isinstance(spec, SequenceSpec):
         raise TypeError(f"not a sequence spec: {spec!r}")
     i = n + spec.start_offset - 1
@@ -411,18 +433,6 @@ def _walk(spec: SequenceSpec, n: int, digit_budget: int) -> Form:
             f"term {_decimal(i)} of the {family} exceeds the {digit_budget}-digit budget"
         )
     return Form(base, g + offset, digit_budget)
-
-
-def exponent_form(
-    spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> tuple[int, int]:
-    """(b, E) with a_n = b**E for the (offset-shifted) sequence, n >= 1.
-
-    Runs the index pre-checks of :func:`term` but builds no power. An
-    explicit term t is (t, 1).
-    """
-    form = _walk(spec, n, digit_budget)
-    return form.base, form.exp
 
 
 def term_form(spec: SequenceSpec, n: int, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Form:
@@ -580,6 +590,8 @@ def _require(report: GrowthReport, phrase: str) -> None:
 
 
 def _window(first: int, last: int) -> tuple[int, int]:
+    """The window first..last, its ends read with ``operator.index``."""
+    first, last = operator.index(first), operator.index(last)
     if first < 1 or last < first:
         raise InvalidParameterError(
             f"window {_decimal(first)}..{_decimal(last)} is empty or invalid"

@@ -37,6 +37,7 @@ from .sequences import (
     PowerRecurrence,
     SequenceSpec,
     Subseries,
+    _abridged,
     _odd_part,
     _pass_memo,
     one_pass,
@@ -285,7 +286,9 @@ def parse_rational(
     """
     match = _RATIONAL_SYNTAX.fullmatch(text)
     if match is None:
-        raise InvalidParameterError(f"cannot parse {name} from {text!r}")
+        raise InvalidParameterError(
+            f"cannot parse {name} from {_abridged(text, 'characters', repr)}"
+        )
     sign, whole, den, places, exp = match.groups("")
     power = str_to_int(exp or "0", name)
     if abs(power) > digit_budget:
@@ -298,7 +301,9 @@ def parse_rational(
     try:
         return Fraction(num, str_to_int(den or "1", name) * 10 ** max(-shift, 0))
     except ZeroDivisionError:
-        raise InvalidParameterError(f"cannot parse {name} from {text!r}") from None
+        raise InvalidParameterError(
+            f"cannot parse {name} from {_abridged(text, 'characters', repr)}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

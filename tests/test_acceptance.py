@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -26,10 +27,7 @@ from seriescert import (
     check_growth,
     check_sandwich,
     enclose,
-    find_n1,
     partial_sum,
-    shrink_decreases,
-    shrink_factor,
     tail_bound,
     term,
     verify_measure,
@@ -86,9 +84,12 @@ def test_criterion_3_measure_holds_for_every_small_polynomial():
     alpha, k = Fraction(3), Fraction(3, 2)
     target = Fraction(1, 6**12)
 
-    n1 = find_n1(P4, alpha, 2, 1, 10)
-    assert (n1.n1, n1.q_at_n1) == (2, 16)
-    intermediate = Fraction(1, 2 * n1.q_at_n1**2)
+    # n1: the first q_n with q_n^(alpha-d) > H*d*(d+1) = 6, for d = 2 and H = 1
+    p, s = (alpha - 2).numerator, (alpha - 2).denominator
+    n1 = next(n for n in range(1, 11) if partial_sum(P4, n).q ** p > 6**s)
+    q_at_n1 = partial_sum(P4, n1).q
+    assert (n1, q_at_n1) == (2, 16)
+    intermediate = Fraction(1, 2 * q_at_n1**2)
     assert intermediate == Fraction(1, 512)
 
     res = brute_force_min(P4, 2, 1, enclose(P4, 4))
@@ -139,9 +140,11 @@ def test_criterion_5_randomized_inequality_suite():
         p, s = alpha.numerator, alpha.denominator
         for n in range(1, 4):
             if n + 1 in held:
-                assert shrink_decreases(
-                    shrink_factor(spec, alpha, n), shrink_factor(spec, alpha, n + 1)
-                )
+                # b_{n+1} < b_n for b_n = P_n^alpha / a_{n+1}, P_n = a_1...a_n
+                terms = [term(spec, i) for i in range(1, n + 3)]
+                product = math.prod(terms[:n])
+                after, next_after = terms[n], terms[n + 1]
+                assert (product * after) ** p * after**s < product**p * next_after**s
             if n in held:
                 a_n, a_next = term(spec, n), term(spec, n + 1)
                 assert a_n ** (p + s) < a_next**s  # a_n/a_{n+1} < a_n^-alpha

@@ -1,7 +1,9 @@
 """Argument rules, each stated once: the exact text of every integer
 lower-bound message and of both violated-hypothesis messages, the index
 map's type checked when a subseries is made, and explicit lists, spec
-scalars and compare_power's x and y that take integers only."""
+scalars, compare_power's x and y, checked_pow's base and exponent, and
+every index, window end and refinement allowance, which take integers
+only."""
 
 from fractions import Fraction
 
@@ -19,16 +21,21 @@ from seriescert import (
     PolynomialInt,
     PowerRecurrence,
     Subseries,
+    SeriesCertError,
     bound,
+    brute_force_min,
     certify,
+    check_growth,
+    check_sandwich,
+    checked_pow,
     compare_power,
     convergent_range,
-    find_n1,
+    enclose,
     partial_sum,
-    shrink_factor,
     tail_bound,
     term,
     verify_measure,
+    witness,
 )
 
 P4 = PowerRecurrence(2, 4)
@@ -48,14 +55,12 @@ HUGE_TEXT = "-1" + "0" * 4999
     (lambda: term(P4, 0), "term index must be >= 1, got 0"),
     (lambda: next(convergent_range(P4, 0)), "range end must be >= 1, got 0"),
     (lambda: partial_sum(P4, -1), "partial sum index must be >= 0, got -1"),
-    (lambda: shrink_factor(P4, 2, 0), "index must be >= 1, got 0"),
     (lambda: tail_bound(P4, -1), "index must be >= 0, got -1"),
     (lambda: tail_bound(P4, HUGE), f"index must be >= 0, got {HUGE_TEXT}"),
-    (lambda: find_n1(P4, 3, 2, 1, 0), "search cutoff must be >= 1, got 0"),
     (lambda: bound(2, 1, 5, 1), "k must be > 1, got 1"),
     (lambda: bound(2, 1, 5, Fraction(1, 2)), "k must be > 1, got 1/2"),
     (lambda: bound(2, 0, 5, 2), "height must be >= 1, got 0"),
-    (lambda: find_n1(P4, 3, 0, 1, 4), "degree must be >= 1, got 0"),
+    (lambda: brute_force_min(P4, 0, 1, enclose(P4, 1)), "degree must be >= 1, got 0"),
     (lambda: verify_measure(P4, 4, 2, PolynomialInt((-1, 1, 1)), -1),
      "refinement allowance must be >= 0, got -1"),
 ])
@@ -143,3 +148,36 @@ def test_explicit_lists_take_integer_lists():
     assert Explicit([2, 3]).terms == (2, 3)
     assert ExplicitIndices([1, 3]).indices == (1, 3)
     assert term(Subseries(Explicit([2, 3, 5]), ExplicitIndices([1, 3])), 2) == 5
+
+
+def _outcome(call, x):
+    """call(x), or the type and message of the SeriesCertError it raises."""
+    try:
+        return call(x)
+    except SeriesCertError as exc:
+        return type(exc), str(exc)
+
+
+# Each entry point of an integer argument, as a call on that argument.
+INTEGER_ENTRIES = {
+    "checked_pow-base": lambda x: checked_pow(x, 3),
+    "checked_pow-exp": lambda x: checked_pow(3, x),
+    "term": lambda x: term(P4, x),
+    "partial_sum": lambda x: partial_sum(P4, x),
+    "convergent_range": lambda x: list(convergent_range(P4, x)),
+    "tail_bound": lambda x: tail_bound(P4, x),
+    "enclose": lambda x: enclose(P4, x),
+    "witness": lambda x: witness(P4, "5/2", x),
+    "certify-first": lambda x: certify(P4, "5/2", x, 2),
+    "check_growth-last": lambda x: check_growth(P4, "5/2", 1, x),
+    "check_sandwich-first": lambda x: check_sandwich(P4, "5/2", 2, x, 1),
+    "verify_measure-refinements": lambda x: verify_measure(P4, 3, "3/2", PolynomialInt((1, 1)), x),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ENTRIES.values(), ids=INTEGER_ENTRIES.keys())
+def test_integers_are_read_with_operator_index_where_they_enter(call):
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        call(1.0)
+    assert _outcome(call, True) == _outcome(call, 1)
+    assert _outcome(call, False) == _outcome(call, 0)

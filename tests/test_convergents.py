@@ -5,19 +5,16 @@ import pytest
 
 from seriescert import (
     Explicit,
-    FactorialExponent,
     InvalidParameterError,
-    NotFoundInWindowError,
     PowerRecurrence,
+    TailShrink,
+    check_growth,
     convergent_range,
-    effective_start,
     partial_sum,
-    shrink_decreases,
-    shrink_factor,
-    shrink_less_than,
     term,
 )
 from seriescert.convergents import _prefix_sums
+from seriescert.sequences import term_stream
 
 P4 = PowerRecurrence(2, 4)
 A52 = Fraction(5, 2)
@@ -68,52 +65,34 @@ def test_convergent_range_is_incremental():
     assert convs[2].value == Fraction(36865, 65536)
 
 
+def shrink_factor(spec, alpha, n):
+    """b_n = (a_1...a_n)^alpha / a_{n+1} as analyze builds it: the product
+    from the sum step, the next term from the term stream."""
+    return TailShrink(n, _prefix_sums(spec)(n).product, term_stream(spec)(n + 1), alpha)
+
+
 def test_shrink_factor_values():
     ts1 = shrink_factor(P4, A52, 1)
-    assert (ts1.product, ts1.next_term) == (2, 16)
+    assert (ts1.product_form.value, ts1.next_form.value) == (2, 16)
     assert ts1.log10_approx == pytest.approx(-0.4515, abs=1e-3)
 
     ts2 = shrink_factor(P4, A52, 2)
-    assert (ts2.product, ts2.next_term) == (32, 65536)
+    assert (ts2.product_form.value, ts2.next_form.value) == (32, 65536)
     # 2^12.5 / 2^16 = 2^-3.5
     assert ts2.log10_approx == pytest.approx(-3.5 * math.log10(2), abs=1e-9)
 
     tse = shrink_factor(Explicit((2, 4)), A52, 1)
-    assert (tse.product, tse.next_term) == (2, 4)
+    assert (tse.product_form.value, tse.next_form.value) == (2, 4)
     assert tse.log10_approx > 0
 
 
-def test_shrink_less_than_exact():
-    ts1 = shrink_factor(P4, A52, 1)
-    assert shrink_less_than(ts1, 1)
-    assert shrink_less_than(ts1, Fraction(1, 2))
-    # 2^2.5 is about 5.66, so 1/4 is below it
-    assert not shrink_less_than(ts1, Fraction(1, 4))
-    tse = shrink_factor(Explicit((2, 4)), A52, 1)
-    assert not shrink_less_than(tse, 1)
-
-
 def test_shrink_strictly_decreases_under_growth():
-    previous = shrink_factor(P4, A52, 1)
-    for n in range(2, 5):
-        current = shrink_factor(P4, A52, n)
-        assert shrink_decreases(previous, current)
-        assert not shrink_decreases(current, previous)
-        previous = current
-
-
-def test_shrink_decreases_needs_matching_alpha():
-    a = shrink_factor(P4, A52, 1)
-    b = shrink_factor(P4, Fraction(3), 2)
-    with pytest.raises(InvalidParameterError):
-        shrink_decreases(a, b)
-
-
-def test_effective_start():
-    assert effective_start(P4, A52, Fraction(37, 64), 1, 5) == 1
-
-    shifted = FactorialExponent(2, 1, start_offset=3)
-    assert effective_start(shifted, A52, Fraction(1), 1, 5) <= 2
-
-    with pytest.raises(NotFoundInWindowError):
-        effective_start(Explicit((2, 4)), A52, Fraction(1), 1, 1)
+    # b_{n+1} < b_n is P_{n+1}^p * a_{n+1}^s < P_n^p * a_{n+2}^s for alpha = p/s
+    # and P_n = a_1...a_n, which is growth at n + 1: a_{n+2}^s > a_{n+1}^(p+s)
+    p, s = A52.numerator, A52.denominator
+    for spec in (P4, Explicit((2, 4, 8, 16))):
+        for n in range(1, 3):
+            a = [term(spec, i) for i in range(1, n + 3)]
+            product = math.prod(a[:n])
+            decreases = (product * a[n]) ** p * a[n] ** s < product**p * a[n + 1] ** s
+            assert decreases == check_growth(spec, A52, n + 1, n + 1).all_hold() == (spec is P4)

@@ -31,13 +31,12 @@ from seriescert import (
     Subseries,
     checked_pow,
     compare_power,
-    exponent_form,
     partial_sum,
     term,
 )
 from seriescert.convergents import _EMPTY, Convergent, _add_term, _prefix_sums, _Sum
 from seriescert.errors import SeriesCertError
-from seriescert.sequences import Form, _compare_products, _times_pow
+from seriescert.sequences import Form, _compare_products, _times_pow, term_form
 
 convergents = importlib.import_module("seriescert.convergents")
 sequences = importlib.import_module("seriescert.sequences")
@@ -191,16 +190,18 @@ def test_exponent_form_matches_term():
              Subseries(FactorialExponent(2), ExplicitIndices((1, 3, 4)), start_offset=2)]
     for spec in specs:
         for n in (1, 2):
-            b, e = exponent_form(spec, n)
-            assert b**e == term(spec, n)
-    assert exponent_form(Explicit((2, 3, 5)), 2) == (3, 1)
-    assert exponent_form(PowerRecurrence(5, 3, start_offset=3), 1) == (5, 9)
-    assert exponent_form(FactorialExponent(2, 1, start_offset=3), 2) == (2, 25)
+            form = term_form(spec, n)
+            assert form.base**form.exp == term(spec, n)
+    for spec, n, pair in [(Explicit((2, 3, 5)), 2, (3, 1)),
+                          (PowerRecurrence(5, 3, start_offset=3), 1, (5, 9)),
+                          (FactorialExponent(2, 1, start_offset=3), 2, (2, 25))]:
+        form = term_form(spec, n)
+        assert (form.base, form.exp) == pair
 
 
 def test_exponent_form_runs_the_index_prechecks():
     with pytest.raises(DigitBudgetError) as form_error:
-        exponent_form(PowerRecurrence(2, 4), 40, 1000)
+        term_form(PowerRecurrence(2, 4), 40, 1000)
     with pytest.raises(DigitBudgetError) as term_error:
         term(PowerRecurrence(2, 4), 40, 1000)
     assert str(form_error.value) == str(term_error.value)
@@ -220,9 +221,13 @@ def outcome(compare, *args):
 
 
 def full_products(lhs, rhs, budget):
-    """Every power built, in order, then the products compared."""
-    left = math.prod(checked_pow(x, k, budget) for x, k in lhs)
-    right = math.prod(checked_pow(x, k, budget) for x, k in rhs)
+    """Every power built, in order, then the products compared; a factor
+    b**E held as a Form is its built value."""
+    def built(side):
+        return math.prod(checked_pow(x.value if isinstance(x, Form) else x, k, budget)
+                         for x, k in side)
+
+    left, right = built(lhs), built(rhs)
     return Ordering((left > right) - (left < right))
 
 
@@ -250,12 +255,30 @@ def test_compare_power_near_equality(r, p, s, delta, budget):
     assert outcome(compare_power, x, y, e, budget) == outcome(full_compare_power, x, y, e, budget)
 
 
-pairs = st.lists(st.tuples(bases, st.integers(1, 6)), min_size=1, max_size=3).map(tuple)
+# b**E with E > 1 over power-of-two, odd and mixed bases b
+odd = st.integers(1, 500).map(lambda k: 2 * k + 1)
+forms = st.builds(Form, st.integers(1, 40).map(lambda k: 2**k) | odd
+                  | st.builds(lambda o, t: o << t, odd, st.integers(1, 40)), st.integers(2, 40))
+pairs = st.lists(st.tuples(bases | forms, st.integers(1, 6)), min_size=1, max_size=3).map(tuple)
 
 
 @settings(max_examples=300, deadline=None)
 @given(pairs, pairs, budgets)
 def test_compare_products_agrees_with_full_products(lhs, rhs, budget):
+    assert outcome(_compare_products, lhs, rhs, budget) == outcome(full_products, lhs, rhs, budget)
+
+
+def one_base_side(b):
+    return st.lists(st.tuples(st.integers(1, 30).map(lambda e: Form(b, e)), st.integers(1, 6)),
+                    min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 12).flatmap(lambda b: st.tuples(one_base_side(b), one_base_side(b))),
+       budgets)
+def test_powers_of_one_base_compare_as_full_products(sides, budget):
+    # sides of one base past the screen compare their exponent sums
+    lhs, rhs = sides
     assert outcome(_compare_products, lhs, rhs, budget) == outcome(full_products, lhs, rhs, budget)
 
 

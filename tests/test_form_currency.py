@@ -1,6 +1,5 @@
 """Forms as the one term currency: their ordering and hash against the
-values they stand for, and the one walk behind ``exponent_form`` and
-``term_form``.
+values they stand for, and the walk behind ``term_form``.
 
 ``Form.__gt__`` decides powers of one base b >= 2 by their exponents and
 anything else by bit lengths, building values only on a tie; equality is
@@ -25,12 +24,11 @@ from seriescert import (
     PowerRecurrence,
     Subseries,
     checked_pow,
-    exponent_form,
     term,
 )
 from seriescert.convergents import _prefix_sums
 from seriescert.errors import SeriesCertError
-from seriescert.sequences import Form, term_form
+from seriescert.sequences import Form, _walk, term_form
 
 # ---------------------------------------------------------------------------
 # Hash
@@ -116,37 +114,28 @@ def outcome(f, *args):
 
 @settings(max_examples=200, deadline=None)
 @given(specs, st.integers(1, 2), st.sampled_from([10, 10**4]))
-def test_exponent_form_is_the_pair_of_term_form(spec, n, budget):
-    pair, form = outcome(exponent_form, spec, n, budget), outcome(term_form, spec, n, budget)
-    if not isinstance(pair[0], int):  # an index pre-check refuses both alike
-        assert form == pair
+def test_term_form_is_the_walk_under_the_size_check(spec, n, budget):
+    walked, form = outcome(_walk, spec, n, budget), outcome(term_form, spec, n, budget)
+    if not isinstance(walked, Form):  # an index pre-check refuses both alike
+        assert form == walked
     elif not isinstance(form, Form):  # the size check refuses a family term
-        assert form == outcome(checked_pow, *pair, budget)
+        assert form == outcome(checked_pow, walked.base, walked.exp, budget)
     else:
-        assert (form.base, form.exp) == pair
+        assert (form.base, form.exp) == (walked.base, walked.exp)
         # an explicit term is given, a family term built under the budget
-        built = pair[0] if form.digit_budget is None else checked_pow(*pair, budget)
+        built = walked.base if form.digit_budget is None else checked_pow(
+            walked.base, walked.exp, budget)
         assert form.value == term(spec, n, budget) == built
 
 
 def test_nested_subseries_read_the_inner_family():
     inner = Subseries(PowerRecurrence(3, 2), Affine(2, -1))  # a_1, a_3, a_5, ...
     spec = Subseries(inner, ExplicitIndices((2, 3)), start_offset=2)  # a_5 of p
-    assert exponent_form(spec, 1) == (3, 16)
-    assert term_form(spec, 1) == Form(3, 16)
+    form = term_form(spec, 1)
+    assert (form.base, form.exp) == (3, 16)
     explicit = Subseries(Subseries(Explicit((5, 7, 11, 13)), Affine(1, 1)), Affine(2))
-    assert exponent_form(explicit, 1) == (11, 1)
-    assert term_form(explicit, 1).digit_budget is None
-
-
-def test_exponent_form_skips_the_size_check_term_form_makes():
-    spec = PowerRecurrence(2, 4)
-    assert exponent_form(spec, 12) == (2, 4**11)
-    with pytest.raises(DigitBudgetError) as refused:
-        term_form(spec, 12)
-    with pytest.raises(DigitBudgetError) as oracle:
-        checked_pow(2, 4**11)
-    assert str(refused.value) == str(oracle.value)
+    form = term_form(explicit, 1)
+    assert (form.base, form.exp, form.digit_budget) == (11, 1, None)
 
 
 def test_an_explicit_term_past_the_budget_is_given_not_built():
@@ -164,7 +153,7 @@ class _Offset:
     start_offset = 1
 
 
-@pytest.mark.parametrize("call", [term, term_form, exponent_form])
+@pytest.mark.parametrize("call", [term, term_form])
 @pytest.mark.parametrize("not_a_spec", [object(), _Offset()])
 def test_a_non_spec_is_refused_as_one(call, not_a_spec):
     with pytest.raises(TypeError, match="not a sequence spec"):

@@ -21,23 +21,21 @@ from seriescert import (
     ExplicitIndices,
     FactorialExponent,
     InvalidParameterError,
-    NotFoundBelowNMaxError,
     PolynomialInt,
     PowerRecurrence,
     SeriesCertError,
     Subseries,
+    TailShrink,
     bound,
+    brute_force_min,
     certify,
     check_growth,
     check_sandwich,
     compare_power,
     convergent_range,
-    effective_start,
-    find_n1,
+    enclose,
     parse_rational,
     partial_sum,
-    shrink_factor,
-    shrink_less_than,
     spec_from_obj,
     tail_bound,
     term,
@@ -45,7 +43,7 @@ from seriescert import (
     witness,
 )
 from seriescert.cli import main
-from seriescert.sequences import MAX_TERMS, _as_positive_fraction
+from seriescert.sequences import ECHO_LENGTH, MAX_TERMS, Form, _as_positive_fraction, _decimal
 from seriescert.serialize import MAX_SPEC_DEPTH, int_to_str, str_to_int
 
 P4_OBJ = {"family": "power", "a1": "2", "e": "4"}
@@ -221,13 +219,8 @@ BUDGETED_READERS = [
     ("alpha", lambda t: check_sandwich(P4, t, 2, 1, 2, 1000)),
     ("k", lambda t: check_sandwich(P4, 3, t, 1, 2, 1000)),
     ("exponent", lambda t: compare_power(2, 3, t, 1000)),
-    ("alpha", lambda t: shrink_factor(P4, t, 1, 1000)),
-    ("threshold", lambda t: shrink_less_than(shrink_factor(P4, 3, 1), t, 1000)),
-    ("alpha", lambda t: effective_start(P4, t, 1, 1, 2, 1000)),
-    ("theta_upper", lambda t: effective_start(P4, 3, t, 1, 2, 1000)),
     ("alpha", lambda t: witness(P4, t, 1, 1000)),
     ("alpha", lambda t: certify(P4, t, 1, 2, 1000)),
-    ("alpha", lambda t: find_n1(P4, t, 2, 1, 5, 1000)),
     ("alpha", lambda t: verify_measure(P4, t, 2, PolynomialInt((1, 1)), digit_budget=1000)),
     ("k", lambda t: verify_measure(P4, 3, t, PolynomialInt((1, 1)), digit_budget=1000)),
 ]
@@ -355,8 +348,9 @@ ONES = PowerRecurrence(1, 2)  # a_n = 1 for every n
 
 
 def test_shrink_factor_takes_an_alpha_beyond_float_range():
-    assert shrink_factor(P4, 10**400, 1).log10_approx == math.inf
-    assert shrink_factor(ONES, 10**400, 1).log10_approx == 0.0
+    # b_1 = a_1^alpha / a_2: 2^(10^400) / 16, and 1 for a_n = 1
+    assert TailShrink(1, Form(2), Form(16), Fraction(10**400)).log10_approx == math.inf
+    assert TailShrink(1, Form(1), Form(1), Fraction(10**400)).log10_approx == 0.0
 
 
 def test_analyze_takes_an_alpha_beyond_float_range(write_spec, capsys):
@@ -372,26 +366,21 @@ def test_analyze_takes_an_alpha_beyond_float_range(write_spec, capsys):
     lambda: ExplicitIndices((1, 2)).apply(NINES),
     lambda: PowerRecurrence(2, 4, start_offset=-NINES),
     lambda: check_growth(P4, Fraction(5, 2), NINES, 1),
-    lambda: effective_start(P4, Fraction(5, 2), 1, NINES, 1),
+    lambda: check_sandwich(P4, Fraction(5, 2), 2, NINES, 1),
     lambda: next(convergent_range(P4, -NINES)),
     lambda: partial_sum(P4, -NINES),
-    lambda: shrink_factor(P4, 2, -NINES),
+    lambda: term(P4, -NINES),
     lambda: tail_bound(P4, -NINES),
     lambda: bound(NINES, 1, 100, 2),
-    lambda: find_n1(P4, 100, -NINES, 1, 1),
-    lambda: find_n1(P4, 100, 2, -NINES, 1),
-    lambda: find_n1(P4, 100, 2, 1, -NINES),
-    lambda: find_n1(P4, 100, 2, NINES, 1),
+    lambda: bound(-NINES, 1, 100, 2),
+    lambda: bound(2, -NINES, 100, 2),
+    lambda: verify_measure(P4, 3, 2, PolynomialInt((1, 1)), -NINES),
+    lambda: brute_force_min(P4, 2, NINES, enclose(P4, 1)),
 ])
 def test_error_messages_spell_integers_in_full(call):
     with pytest.raises(SeriesCertError) as info:
         call()
     assert "9" * 4999 in str(info.value)
-
-
-def test_find_n1_reports_a_huge_threshold_as_not_found():
-    with pytest.raises(NotFoundBelowNMaxError, match=f"threshold {int_to_str(6 * 10**5000)}$"):
-        find_n1(P4, 100, 2, 10**5000, 1)
 
 
 def test_huge_non_increasing_index_list_is_an_invalid_index_map(write_spec, capsys):
@@ -402,6 +391,31 @@ def test_huge_non_increasing_index_list_is_an_invalid_index_map(write_spec, caps
         "error": "invalid-index-map",
         "message": f"index list not strictly increasing at {'9' * 5000} -> 3",
     }
+
+
+THREES = "3" * 300_000
+HEAD, TAIL = "3" * 20, "3" * 20
+
+
+@pytest.mark.parametrize("alpha, message", [
+    (f"0.{THREES}", "exponent must exceed 2 for the criterion to apply, got "
+     f"{HEAD}...{TAIL} (300000 digits)/1{'0' * 19}...{'0' * 20} (300001 digits)"),
+    (f"{THREES}x", f"cannot parse alpha from '{HEAD}'...'{TAIL[1:]}x' (300001 characters)"),
+], ids=["value", "text"])
+def test_an_error_abridges_a_value_past_the_echo_length(alpha, message, write_spec, capsys):
+    spec = write_spec(P4_OBJ)
+    assert main(["certify", "--spec", spec, "--alpha", alpha, "--to", "3",
+                 "--digit-budget", "1000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) < 400
+    assert json.loads(err)["message"] == message
+
+
+def test_the_echo_length_is_the_last_length_spelled_in_full():
+    longest = 10**ECHO_LENGTH - 1
+    assert _decimal(-longest) == "-" + "9" * ECHO_LENGTH
+    abridged = f"1{'0' * 19}...{'0' * 19}1 ({ECHO_LENGTH + 1} digits)"
+    assert _decimal(Fraction(1, longest + 2)) == f"1/{abridged}"
 
 
 @pytest.mark.parametrize("obj", [

@@ -9,7 +9,6 @@ from seriescert import (
     HypothesisFailedError,
     InconclusiveError,
     InvalidParameterError,
-    NotFoundBelowNMaxError,
     PolynomialInt,
     PowerRecurrence,
     SpecMismatchError,
@@ -18,7 +17,6 @@ from seriescert import (
     brute_force_min,
     enclose,
     enumerate_brackets,
-    find_n1,
     verify_measure,
 )
 from seriescert import sequences
@@ -107,10 +105,9 @@ def test_bound_preconditions():
 @pytest.mark.parametrize("call", [
     lambda: bound(2.0, 1, 3, "3/2"),
     lambda: bound(2, 1.0, 3, "3/2"),
-    lambda: find_n1(P4, 3, 2.0, 1, 10),
     lambda: brute_force_min(P4, 2, 1.0, enclose(P4, 3)),
     lambda: verify_measure(P4, 3, K32, PolynomialInt((1, 1)), degree=2.0),
-], ids=["bound-degree", "bound-height", "find_n1-degree", "brute_force_min-height",
+], ids=["bound-degree", "bound-height", "brute_force_min-height",
         "verify_measure-degree"])
 def test_a_float_degree_or_height_raises_type_error(call):
     # read with operator.index, as a spec scalar is: a float never reaches
@@ -153,30 +150,6 @@ def test_qn_exponent_bound_reads_q_as_a_form(monkeypatch, tmp_path, capsys):
           "--format", "json"])
     assert json.loads(capsys.readouterr().out)[0]["q_exp_bound"] == "pass"
     assert 1 not in built
-
-
-def test_find_n1():
-    r = find_n1(P4, Fraction(3), 2, 1, 10)
-    assert (r.n1, r.q_at_n1, r.threshold_value) == (2, 16, 6)
-
-    r = find_n1(P4, Fraction(3), 2, 3, 10)
-    assert (r.n1, r.threshold_value) == (3, 18)
-
-    with pytest.raises(NotFoundBelowNMaxError):
-        find_n1(P4, Fraction(3), 2, 10**90, 2)
-
-
-def test_find_n1_equality_does_not_qualify():
-    # q_1^(3-1) = 4 lands exactly on the threshold H*d*(d+1) = 4,
-    # so the search must move on to the next index
-    r = find_n1(P4, Fraction(3), 1, 2, 10)
-    assert r.n1 == 2
-    assert r.threshold_value == 4
-
-
-def test_find_n1_requires_alpha_above_degree():
-    with pytest.raises(InvalidParameterError):
-        find_n1(P4, Fraction(2), 2, 1, 10)
 
 
 # ---------------------------------------------------------------------------

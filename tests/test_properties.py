@@ -3,9 +3,9 @@ denominators and exponents must agree with an independently computed
 exact value, and the structural invariants must hold for randomly drawn
 parameters, not just the handful of worked examples."""
 
+import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +15,6 @@ from seriescert import (
     DigitBudgetError,
     FactorialExponent,
     InconclusiveError,
-    NotFoundBelowNMaxError,
     Ordering,
     PowerRecurrence,
     Subseries,
@@ -23,10 +22,7 @@ from seriescert import (
     check_growth,
     compare_power,
     enclose,
-    find_n1,
     partial_sum,
-    shrink_decreases,
-    shrink_factor,
     spec_from_obj,
     spec_obj,
     tail_bound,
@@ -76,11 +72,14 @@ def test_partial_sum_matches_reverse_fold(spec, m):
 
 @given(power_specs, st.sampled_from(ALPHAS), st.integers(min_value=1, max_value=3))
 def test_shrink_decreases_where_growth_holds(spec, alpha, n):
-    growth = check_growth(spec, alpha, n + 1, n + 1)
-    if growth.all_hold():
-        assert shrink_decreases(
-            shrink_factor(spec, alpha, n), shrink_factor(spec, alpha, n + 1)
-        )
+    # b_{n+1} < b_n for b_n = P_n^alpha / a_{n+1}, P_n = a_1...a_n and alpha = p/s
+    # is P_{n+1}^p * a_{n+1}^s < P_n^p * a_{n+2}^s, which is growth at n + 1
+    p, s = alpha.numerator, alpha.denominator
+    terms = [term(spec, i) for i in range(1, n + 3)]
+    product, after, next_after = math.prod(terms[:n]), terms[n], terms[n + 1]
+    decreases = naive_pow(product * after, p) * naive_pow(after, s) < (
+        naive_pow(product, p) * naive_pow(next_after, s))
+    assert decreases == check_growth(spec, alpha, n + 1, n + 1).all_hold()
 
 
 @given(
@@ -216,12 +215,10 @@ def test_find_n1_matches_a_direct_scan(spec, alpha, d, height):
     assume(alpha > d)
     p, s = (alpha - d).numerator, (alpha - d).denominator
     threshold = height * d * (d + 1)
-    expected = next((n for n in range(1, 4)
-                     if naive_pow(partial_sum(spec, n).q, p) > naive_pow(threshold, s)), None)
-    if expected is None:
-        with pytest.raises(NotFoundBelowNMaxError):
-            find_n1(spec, alpha, d, height, 3)
-    else:
-        r = find_n1(spec, alpha, d, height, 3)
-        assert (r.n1, r.q_at_n1, r.threshold_value) == (expected, partial_sum(spec, expected).q,
-                                                        threshold)
+    # n1: the first q_n with q_n^(alpha-d) > H*d*(d+1), by compare_power and by plain powers
+    qs = [partial_sum(spec, n).q for n in range(1, 4)]
+    expected = next((n for n, q in enumerate(qs, 1)
+                     if naive_pow(q, p) > naive_pow(threshold, s)), None)
+    assert expected == next((n for n, q in enumerate(qs, 1)
+                             if compare_power(q, threshold, 1 / (alpha - d)) is Ordering.GREATER),
+                            None)

@@ -16,21 +16,18 @@ from pathlib import Path
 import seriescert
 
 PUBLIC_NAMES = [
-    "Affine", "AlphaTooSmallError", "BruteForceResult", "CAVEAT", "CONCLUSION",
-    "Certificate", "Convergent", "DEFAULT_DIGIT_BUDGET", "DigitBudgetError", "Enclosure",
+    "Affine", "AlphaTooSmallError", "BruteForceResult", "CAVEAT", "CONCLUSION", "Certificate",
+    "Convergent", "DEFAULT_DIGIT_BUDGET", "DigitBudgetError", "Enclosure",
     "EnumerationTooLargeError", "ExactnessError", "Explicit", "ExplicitIndices",
     "FactorialExponent", "GrowthCheck", "GrowthReport", "HypothesisFailedError",
     "InconclusiveError", "IndexOutOfRangeError", "InvalidIndexMapError",
-    "InvalidParameterError", "MeasureBound", "MeasureEvidence", "N1Result",
-    "NoTailGuaranteeError", "NotFoundBelowNMaxError", "NotFoundInWindowError", "Ordering",
-    "PolynomialInt", "PowerRecurrence", "SequenceSpec", "SeriesCertError",
+    "InvalidParameterError", "MeasureBound", "MeasureEvidence", "NoTailGuaranteeError",
+    "Ordering", "PolynomialInt", "PowerRecurrence", "SequenceSpec", "SeriesCertError",
     "SpecMismatchError", "Subseries", "TailShrink", "Witness", "WitnessFailedError",
-    "abs_bracket", "bound", "brute_force_min", "canonical_dumps",
-    "certificate_obj", "certify", "check_growth", "check_sandwich", "checked_pow",
-    "compare_power", "convergent_range", "effective_start",
-    "enclose", "enumerate_brackets", "exponent_form", "find_n1", "has_tail_guarantee",
-    "parse_rational", "partial_sum", "rational_from_obj", "rational_obj", "rational_prefix",
-    "refine", "shrink_decreases", "shrink_factor", "shrink_less_than", "spec_fingerprint",
+    "abs_bracket", "bound", "brute_force_min", "canonical_dumps", "certificate_obj", "certify",
+    "check_growth", "check_sandwich", "checked_pow", "compare_power", "convergent_range",
+    "enclose", "enumerate_brackets", "has_tail_guarantee", "parse_rational", "partial_sum",
+    "rational_from_obj", "rational_obj", "rational_prefix", "refine", "spec_fingerprint",
     "spec_from_obj", "spec_obj", "tail_bound", "term", "verify_measure", "witness",
 ]
 

@@ -7,7 +7,7 @@ in ``src/`` outside its own definition (``__init__`` aside) or is kept
 for a recorded reason, where a name ``src/`` defines twice counts as
 read only in the function recorded for it; and every name a module
 imports (``__init__`` excepted, whose imports are the public surface) is
-used in that module.
+used in that module or kept for a recorded reason.
 The code lines of the package stay under a recorded ceiling, every
 integer lower bound an ``InvalidParameterError`` states is spelled by
 ``sequences._at_least`` alone, and no call in ``src/`` falls back on the
@@ -64,6 +64,13 @@ def test_every_private_name_is_referenced(module, name, node):
     assert name in _used(elsewhere), f"{module}: {name} is defined but never referenced"
 
 
+#: Names a module imports and does not use, each with the reason it stays.
+KEPT_IMPORTS = {
+    ("measure.py", "partial_sum"):
+        "perfbench/test_perfbench.py checks that the tracer's wrapper reaches measure.partial_sum",
+}
+
+
 @pytest.mark.parametrize("module", [m for m in TREES if m != "__init__.py"])
 def test_every_import_is_used(module):
     tree = TREES[module]
@@ -74,7 +81,10 @@ def test_every_import_is_used(module):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    assert imported <= read, f"{module} imports {sorted(imported - read)} and never uses them"
+    kept = {name for m, name in KEPT_IMPORTS if m == module}
+    unused = imported - read
+    assert unused <= kept, f"{module} imports {sorted(unused - kept)} and never uses them"
+    assert kept <= unused, f"{module} uses or no longer imports {sorted(kept - unused)}"
 
 
 #: Public functions, methods and properties that nothing else in src/
@@ -84,14 +94,9 @@ KEPT_UNCALLED = {
     "convergent_range": "perfbench/tracing.py wraps it by name",
     "enumerate_brackets": "perfbench/tracing.py wraps it by name",
     "PolynomialInt.evaluate_interval": "perfbench/tracing.py wraps it by name",
-    "exponent_form": "waits for ROADMAP item 6",
-    "effective_start": "waits for ROADMAP item 7",
-    "shrink_decreases": "waits for ROADMAP item 7",
-    "find_n1": "waits for ROADMAP item 8",
+    "compare_power": "the documented public exact comparison x versus y**e",
     "PolynomialInt.evaluate": "the Fraction oracle the bracket tests compare against",
     "GrowthReport.all_hold": "the window's one verdict, the reading the growth tests make",
-    "TailShrink.product": "the plain-integer reading README documents beside next_term",
-    "TailShrink.next_term": "the plain-integer reading README documents beside product",
 }
 
 #: Public definitions whose bare name src/ also defines elsewhere (a
@@ -190,7 +195,7 @@ def test_a_shared_name_is_read_where_recorded(qualified, reader):
 #: Code lines of src/seriescert/*.py as _code_lines counts them. A change
 #: that adds no capability must not raise this; one that adds a capability
 #: raises it and records the new count and the reason in CHANGES.md.
-CODE_LINE_CEILING = 1608
+CODE_LINE_CEILING = 1505
 
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _LAYOUT = _STATEMENT_START | {tokenize.ENCODING, tokenize.ENDMARKER}

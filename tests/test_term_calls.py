@@ -26,7 +26,6 @@ from seriescert import (
     PowerRecurrence,
     certify,
     convergent_range,
-    effective_start,
     partial_sum,
     verify_measure,
 )
@@ -34,7 +33,6 @@ from seriescert.cli import main
 
 P4 = PowerRecurrence(2, 4)
 P512 = PowerRecurrence(2**512, 4)
-FE = FactorialExponent(2, 1)
 SHIFTED = FactorialExponent(2, 1, start_offset=3)
 A52 = Fraction(5, 2)
 
@@ -101,12 +99,6 @@ def test_refinements_build_each_term_once(term_calls):
         verify_measure(P512, 3, Fraction(3, 2), PolynomialInt((0, 1)), 2)
     # m0 = 1, two refinements reach 3 terms; the sandwich check reads a_5
     assert built(term_calls, P512) == [1, 2, 3, 4, 5]
-
-
-def test_effective_start_builds_each_term_once(term_calls):
-    # b_2, b_3 >= 1/2 > b_4 for a_n = 2^(n!+1)
-    assert effective_start(FE, A52, Fraction(1), 2, 6) == 4
-    assert built(term_calls, FE) == [1, 2, 3, 4, 5]
 
 
 def test_partial_sum_reads_no_term_past_its_index(term_calls):

@@ -28,17 +28,17 @@ from seriescert import (
     Ordering,
     PowerRecurrence,
     Subseries,
+    TailShrink,
     check_growth,
     check_sandwich,
     compare_power,
     partial_sum,
-    shrink_factor,
     term,
 )
 from seriescert.cli import main
-from seriescert.convergents import _log10
+from seriescert.convergents import _log10, _prefix_sums
 from seriescert.errors import SeriesCertError
-from seriescert.sequences import Form, _Verdicts
+from seriescert.sequences import Form, _Verdicts, term_stream
 from seriescert.serialize import decimal_digits, int_to_str
 
 # 2**k, 3, 6, 12 and 2**j * 3**i: no factor of two, only one, and both
@@ -69,10 +69,14 @@ def test_forms_are_equal_when_their_values_are(b, e, c, f):
 
 def test_forms_of_one_and_shrink_factors_compare_by_value():
     assert Form(1, 2) == Form(1, 3) == Form(1)
-    # outside a pass each call makes its own forms
+
+    def shrink_factor(spec, n):  # as analyze makes it; outside a pass, fresh forms
+        return TailShrink(n, _prefix_sums(spec)(n).product, term_stream(spec)(n + 1), 3)
+
+    # 4 * 16 = 64 as 4**3 and as 2**6
     p4, shifted = PowerRecurrence(4, 2), PowerRecurrence(2, 2, 2)
-    assert shrink_factor(p4, 3, 2) == shrink_factor(shifted, 3, 2)
-    assert shrink_factor(p4, 3, 2) != shrink_factor(p4, 3, 1)
+    assert shrink_factor(p4, 2) == shrink_factor(shifted, 2)
+    assert shrink_factor(p4, 2) != shrink_factor(p4, 1)
 
 
 @pytest.mark.parametrize("n", range(1018, 1031))
@@ -172,10 +176,10 @@ def test_analyze_rows_agree_with_the_public_paths(name, alpha, k, tmp_path):
     assert [int(row["n"]) for row in rows] == list(range(1, last + 1))
     for row in rows:
         n = int(row["n"])
-        shrink = shrink_factor(spec, alpha, n)
         # the float from the built integers, as math.log10 gives it
-        built = float(alpha) * math.log10(shrink.product) - math.log10(shrink.next_term)
-        assert row["log10_shrink"] == f"{shrink.log10_approx:.6g}" == f"{built:.6g}"
+        product = math.prod(term(spec, i) for i in range(1, n + 1))
+        built = float(alpha) * math.log10(product) - math.log10(term(spec, n + 1))
+        assert row["log10_shrink"] == f"{built:.6g}"
         assert row["digits"] == str(decimal_digits(term(spec, n))) == str(len(str(term(spec, n))))
         # q_n <= a_n^((alpha+1)/alpha) and q_{n+1} < q_n^(k(alpha+1)) as plain powers
         p, s, q = alpha.numerator, alpha.denominator, partial_sum(spec, n).q
